@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "bench/common/table.h"
+#include "common/json.h"
 
 namespace heus::bench {
 
@@ -123,25 +124,7 @@ class JsonValue {
   enum class Kind { string, integer, number, boolean, array, object };
 
   static std::string quote(const std::string& s) {
-    std::string out = "\"";
-    for (char c : s) {
-      switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-          } else {
-            out += c;
-          }
-      }
-    }
-    out += "\"";
-    return out;
+    return "\"" + common::json_escape(s) + "\"";
   }
 
   Kind kind_ = Kind::object;
@@ -210,10 +193,11 @@ class JsonReport {
 /// when JSON output was not requested.
 inline std::optional<std::string> json_output_path(
     int argc, char** argv, const std::string& default_path) {
+  common::JsonSink sink;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") return default_path;
-    if (arg.rfind("--json=", 0) == 0) return arg.substr(7);
+    if (sink.parse(argv[i])) {
+      return sink.to_stdout() ? default_path : sink.path();
+    }
   }
   return std::nullopt;
 }

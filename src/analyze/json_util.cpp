@@ -1,31 +1,6 @@
 #include "analyze/json_util.h"
 
-#include <cstdio>
-#include <fstream>
-
-#include "common/strings.h"
-
 namespace heus::analyze {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += common::strformat("\\u%04x", static_cast<unsigned>(c));
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string json_string_array(const std::vector<std::string>& items) {
   std::string out = "[";
@@ -34,34 +9,6 @@ std::string json_string_array(const std::vector<std::string>& items) {
     out += "\"" + json_escape(items[i]) + "\"";
   }
   return out + "]";
-}
-
-bool JsonSink::parse(const std::string& arg) {
-  if (arg == "--json") {
-    enabled_ = true;
-    path_.clear();
-    return true;
-  }
-  if (arg.rfind("--json=", 0) == 0) {
-    enabled_ = true;
-    path_ = arg.substr(7);
-    return true;
-  }
-  return false;
-}
-
-bool JsonSink::write(const std::string& json) const {
-  if (!enabled_) return true;
-  if (path_.empty()) {
-    std::fputs(json.c_str(), stdout);
-    if (!json.empty() && json.back() != '\n') std::fputc('\n', stdout);
-    return true;
-  }
-  std::ofstream out(path_);
-  if (!out) return false;
-  out << json;
-  if (!json.empty() && json.back() != '\n') out << '\n';
-  return out.good();
 }
 
 }  // namespace heus::analyze

@@ -1,46 +1,23 @@
 // JSON rendering primitives shared by the report emitters (report.cpp,
-// ingest/site_report.cpp). Escaping lives in exactly one place so the
-// golden-file + real-parser tests in tests/ guard every JSON document the
-// analyzer family produces.
+// ingest/site_report.cpp). Escaping lives in exactly one place,
+// common/json.h, so the golden-file + real-parser tests in tests/ guard
+// every JSON document the analyzer family and the benches produce.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "common/json.h"
+
 namespace heus::analyze {
 
-/// Escape `s` for inclusion inside a JSON string literal (quotes,
-/// backslashes, and all control characters below 0x20).
-[[nodiscard]] std::string json_escape(const std::string& s);
+// The shared escaper and `--json` sink, under the names the analyzer
+// family's emitters and heus-lint use.
+using common::json_escape;
+using common::JsonSink;
 
 /// Render `items` as a JSON array of strings.
 [[nodiscard]] std::string json_string_array(
     const std::vector<std::string>& items);
-
-/// Shared `--json[=PATH]` flag handling for every heus-lint subcommand:
-/// bare `--json` sends the JSON document to stdout, `--json=PATH`
-/// writes it to PATH (in addition to whatever --format prints). One
-/// parser so the subcommands cannot drift on flag spelling.
-class JsonSink {
- public:
-  /// Consume `arg` if it is `--json` or `--json=PATH`; returns whether
-  /// it was consumed.
-  bool parse(const std::string& arg);
-
-  [[nodiscard]] bool enabled() const { return enabled_; }
-  /// Destination path; empty means stdout.
-  [[nodiscard]] const std::string& path() const { return path_; }
-  [[nodiscard]] bool to_stdout() const {
-    return enabled_ && path_.empty();
-  }
-
-  /// Emit `json` to the configured destination. No-op (true) when the
-  /// sink is not enabled; false on I/O failure.
-  bool write(const std::string& json) const;
-
- private:
-  bool enabled_ = false;
-  std::string path_;
-};
 
 }  // namespace heus::analyze

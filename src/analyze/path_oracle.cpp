@@ -9,6 +9,7 @@
 #include "analyze/policy_space.h"
 #include "common/clock.h"
 #include "common/strings.h"
+#include "core/channel_probe.h"
 #include "core/cluster.h"
 #include "fed/federation.h"
 #include "obs/decision.h"
@@ -19,6 +20,7 @@
 namespace heus::analyze {
 
 using common::strformat;
+using core::ProbeOutcome;
 using core::SeparationPolicy;
 
 namespace {
@@ -49,11 +51,6 @@ core::ClusterConfig oracle_config(const SeparationPolicy& policy) {
   return cfg;
 }
 
-struct HopResult {
-  bool crossed = false;
-  std::string detail;
-};
-
 /// Mutable adversary state threaded through the hops of one path trial.
 struct Ctx {
   core::Cluster* a = nullptr;  ///< mallory's home cluster
@@ -65,7 +62,6 @@ struct Ctx {
   std::optional<core::Session> adv;  ///< mallory's login shell on a
   std::optional<NodeId> vantage_node;  ///< victim's node, once won
   std::optional<SessionId> portal_token;
-  int* serial = nullptr;  ///< run-unique suffix for names/files
   /// Cross-hop resources (anchor jobs, shells, tokens), reverse-run at
   /// the end of the trial; single-hop resources tear down inline.
   std::vector<std::function<void()>> cleanup;
@@ -84,22 +80,29 @@ std::optional<NodeId> running_node(core::Cluster& c, JobId id) {
 // Foothold hops
 // ---------------------------------------------------------------------------
 
-HopResult exec_ssh_gate(Ctx& ctx) {
+/// Start a long victim job on cluster a, kept until the end of the
+/// trial. Returns the node it runs on, or nullopt if it is not running.
+std::optional<NodeId> start_victim_job(Ctx& ctx) {
   core::Cluster* a = ctx.a;
   auto vs = a->login(ctx.victim_a);
-  if (!vs) return {false, "victim login failed"};
+  if (!vs) return std::nullopt;
   sched::JobSpec spec;
-  spec.name = "oracle-ssh-anchor";
+  spec.name = "oracle-victim-job";
   spec.duration_ns = 3600 * common::kSecond;
   auto job = a->submit(*vs, spec);
   ctx.cleanup.push_back([a, vs = *vs, job]() mutable {
     if (job) (void)a->scheduler().cancel(vs.cred, *job);
     a->logout(vs);
   });
-  if (!job) return {false, "victim anchor job submit failed"};
+  if (!job) return std::nullopt;
   a->scheduler().step();
-  const auto node = running_node(*a, *job);
-  if (!node) return {false, "victim anchor job not running"};
+  return running_node(*a, *job);
+}
+
+ProbeOutcome exec_ssh_gate(Ctx& ctx) {
+  core::Cluster* a = ctx.a;
+  const auto node = start_victim_job(ctx);
+  if (!node) return {false, "victim job not running"};
   auto shell = a->ssh(*ctx.adv, *node);
   if (!shell) return {false, "ssh into victim's node denied"};
   ctx.vantage_node = *node;
@@ -108,21 +111,9 @@ HopResult exec_ssh_gate(Ctx& ctx) {
   return {true, "ssh into victim's node admitted"};
 }
 
-HopResult exec_colocation(Ctx& ctx) {
+ProbeOutcome exec_colocation(Ctx& ctx) {
   core::Cluster* a = ctx.a;
-  auto vs = a->login(ctx.victim_a);
-  if (!vs) return {false, "victim login failed"};
-  sched::JobSpec vspec;
-  vspec.name = "oracle-coloc-victim";
-  vspec.duration_ns = 3600 * common::kSecond;
-  auto vjob = a->submit(*vs, vspec);
-  ctx.cleanup.push_back([a, vs = *vs, vjob]() mutable {
-    if (vjob) (void)a->scheduler().cancel(vs.cred, *vjob);
-    a->logout(vs);
-  });
-  if (!vjob) return {false, "victim job submit failed"};
-  a->scheduler().step();
-  const auto vnode = running_node(*a, *vjob);
+  const auto vnode = start_victim_job(ctx);
   if (!vnode) return {false, "victim job not running"};
   sched::JobSpec aspec;
   aspec.name = "oracle-coloc-adversary";
@@ -143,151 +134,10 @@ HopResult exec_colocation(Ctx& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler-query hops
-// ---------------------------------------------------------------------------
-
-HopResult exec_sched_queue(Ctx& ctx) {
-  core::Cluster& a = *ctx.a;
-  auto vs = a.login(ctx.victim_a);
-  if (!vs) return {false, "victim login failed"};
-  sched::JobSpec spec;
-  spec.name = "oracle-sensitive-jobname";
-  spec.command = "./proprietary_sim --input=/proj/secret";
-  spec.duration_ns = 3600 * common::kSecond;
-  auto job = a.submit(*vs, spec);
-  HopResult r{false, "victim job invisible in squeue"};
-  if (job) {
-    for (const auto& view : a.scheduler().list_jobs(ctx.adv->cred)) {
-      if (view.id == *job) {
-        r = {true, "victim job visible in squeue"};
-        break;
-      }
-    }
-    (void)a.scheduler().cancel(vs->cred, *job);
-  } else {
-    r.detail = "victim submit failed";
-  }
-  a.logout(*vs);
-  return r;
-}
-
-HopResult exec_sched_accounting(Ctx& ctx) {
-  core::Cluster& a = *ctx.a;
-  auto vs = a.login(ctx.victim_a);
-  if (!vs) return {false, "victim login failed"};
-  sched::JobSpec spec;
-  spec.name = "oracle-acct-job";
-  spec.duration_ns = common::kSecond;
-  auto job = a.submit(*vs, spec);
-  HopResult r{false, "victim sacct record hidden"};
-  if (job) {
-    a.run_jobs();
-    for (const auto& rec : a.scheduler().accounting(ctx.adv->cred)) {
-      if (rec.id == *job) {
-        r = {true, "victim sacct record readable"};
-        break;
-      }
-    }
-  } else {
-    r.detail = "victim submit failed";
-  }
-  a.logout(*vs);
-  return r;
-}
-
-HopResult exec_sched_usage(Ctx& ctx) {
-  auto usage = ctx.a->scheduler().usage_by_user(ctx.adv->cred);
-  if (usage.contains(ctx.victim_a)) {
-    return {true, "victim usage visible in sreport"};
-  }
-  return {false, "victim usage hidden"};
-}
-
-// ---------------------------------------------------------------------------
-// Network hops
-// ---------------------------------------------------------------------------
-
-HopResult exec_flow(Ctx& ctx, net::Proto proto, std::uint16_t port) {
-  core::Cluster& a = *ctx.a;
-  auto vs = a.login(ctx.victim_a);
-  if (!vs) return {false, "victim login failed"};
-  net::Network& nw = a.network();
-  const HostId vhost = a.node(vs->node).host();
-  (void)nw.listen(vhost, vs->cred, vs->shell, proto, port);
-  auto flow = nw.connect(a.node(ctx.adv->node).host(), ctx.adv->cred,
-                         ctx.adv->shell, vhost, proto, port);
-  HopResult r{false, "flow dropped"};
-  if (flow) {
-    r = {true, "flow to the victim's service established"};
-    (void)nw.close(*flow);
-  }
-  (void)nw.close_listener(vhost, proto, port);
-  a.logout(*vs);
-  return r;
-}
-
-HopResult exec_rdma_tcp(Ctx& ctx) {
-  core::Cluster& a = *ctx.a;
-  auto vs = a.login(ctx.victim_a);
-  if (!vs) return {false, "victim login failed"};
-  net::Network& nw = a.network();
-  const HostId vhost = a.node(vs->node).host();
-  const std::uint16_t port = 24000;
-  (void)nw.listen(vhost, vs->cred, vs->shell, net::Proto::tcp, port);
-  auto qp = a.rdma().setup_via_tcp(a.node(ctx.adv->node).host(),
-                                   ctx.adv->cred, ctx.adv->shell, vhost,
-                                   port);
-  HopResult r{false, "QP setup blocked at the TCP control channel"};
-  if (qp) {
-    r = {true, "QP established via TCP control channel"};
-    (void)a.rdma().destroy(*qp);
-  }
-  (void)nw.close_listener(vhost, net::Proto::tcp, port);
-  a.logout(*vs);
-  return r;
-}
-
-HopResult exec_rdma_cm(Ctx& ctx) {
-  core::Cluster& a = *ctx.a;
-  auto vs = a.login(ctx.victim_a);
-  if (!vs) return {false, "victim login failed"};
-  auto qp = a.rdma().setup_via_cm(a.node(ctx.adv->node).host(),
-                                  ctx.adv->cred, a.node(vs->node).host(),
-                                  ctx.victim_a);
-  HopResult r{false, "QP setup via native CM failed"};
-  if (qp) {
-    r = {true, "QP established via native IB CM"};
-    (void)a.rdma().destroy(*qp);
-  }
-  a.logout(*vs);
-  return r;
-}
-
-HopResult exec_uds(Ctx& ctx, bool from_node) {
-  core::Cluster& a = *ctx.a;
-  if (from_node && !ctx.vantage_node) return {false, "no node vantage"};
-  auto vs = a.login(ctx.victim_a);
-  if (!vs) return {false, "victim login failed"};
-  net::Network& nw = a.network();
-  const HostId host = from_node ? a.node(*ctx.vantage_node).host()
-                                : a.node(vs->node).host();
-  const std::string name = strformat("@oracle-%d", (*ctx.serial)++);
-  (void)nw.unix_listen_abstract(host, vs->cred, name);
-  auto peer = nw.unix_connect_abstract(host, ctx.adv->cred, name);
-  HopResult r{false, "abstract socket rendezvous failed"};
-  if (peer && *peer == ctx.victim_a) {
-    r = {true, "abstract socket rendezvous with the victim"};
-  }
-  (void)nw.unix_close_abstract(host, name);
-  a.logout(*vs);
-  return r;
-}
-
-// ---------------------------------------------------------------------------
 // Portal hops
 // ---------------------------------------------------------------------------
 
-HopResult exec_portal_auth(Ctx& ctx) {
+ProbeOutcome exec_portal_auth(Ctx& ctx) {
   auto token = ctx.a->portal().login(ctx.adv->cred);
   if (!token) return {false, "portal login rejected"};
   ctx.portal_token = *token;
@@ -297,265 +147,54 @@ HopResult exec_portal_auth(Ctx& ctx) {
   return {true, "portal session established"};
 }
 
-HopResult exec_portal_forward(Ctx& ctx) {
+ProbeOutcome exec_portal_forward(Ctx& ctx) {
   if (!ctx.portal_token) return {false, "no portal session"};
   core::Cluster& a = *ctx.a;
   auto vs = a.login(ctx.victim_a);
   if (!vs) return {false, "victim login failed"};
-  sched::JobSpec spec;
-  spec.name = "oracle-jupyter";
-  spec.interactive = true;
-  spec.duration_ns = 3600 * common::kSecond;
-  auto job = a.submit(*vs, spec);
-  HopResult r{false, "portal forwarded hop denied"};
-  if (job) {
-    a.scheduler().step();
-    const auto jn = running_node(a, *job);
-    if (jn) {
-      auto app = a.portal().register_app(
-          vs->cred, Pid{}, *job, a.node(*jn).host(), 8888, "jupyter",
-          [](const std::string&) {
-            return std::string("NOTEBOOK-TOKEN");
-          });
-      if (app) {
-        auto resp = a.portal().request(*ctx.portal_token, *app,
-                                       "GET / HTTP/1.1");
-        if (resp && resp->find("NOTEBOOK-TOKEN") != std::string::npos) {
-          r = {true, "victim's notebook served through the portal"};
-        }
-        (void)a.portal().unregister_app(vs->cred, *app);
-      }
-    }
-    (void)a.scheduler().cancel(vs->cred, *job);
-  } else {
-    r.detail = "victim submit failed";
-  }
+  const auto fetch = [&](portal::AppId app) {
+    return a.portal().request(*ctx.portal_token, app, "GET / HTTP/1.1");
+  };
+  ProbeOutcome out = core::with_victim_notebook(a, *vs, fetch);
   a.logout(*vs);
-  return r;
+  return out;
 }
 
 // ---------------------------------------------------------------------------
-// Filesystem / procfs hops
+// Channel hops: the shared probe table
 // ---------------------------------------------------------------------------
 
-HopResult exec_home_read(Ctx& ctx) {
+/// Play a channel edge through its core::channel_probes() entry. The
+/// victim's shell sits where the hop starts: on the login node, or on
+/// the victim's compute node once ssh_gate or colocation has put the
+/// adversary there (the multi-hop payoff: that node's procfs, /tmp,
+/// /dev/shm and abstract sockets are only reachable from it).
+ProbeOutcome exec_channel(Ctx& ctx, const EdgeSpec& spec) {
   core::Cluster& a = *ctx.a;
-  auto v_cred = simos::login(a.users(), ctx.victim_a);
-  if (!v_cred) return {false, "victim login failed"};
-  const simos::User* vu = a.users().find_user(ctx.victim_a);
-  const std::string file =
-      strformat("%s/oracle-secret-%d.dat", vu->home.c_str(),
-                (*ctx.serial)++);
-  vfs::FileSystem& fs = a.shared_fs();
-  (void)fs.write_file(*v_cred, file, "HOME-SECRET");
-  (void)fs.chmod(*v_cred, vu->home, 0777);
-  (void)fs.chmod(*v_cred, file, 0666);
-  auto read = fs.read_file(ctx.adv->cred, file);
-  HopResult r{false, "world-chmod'ed home file unreadable"};
-  if (read && read->find("HOME-SECRET") != std::string::npos) {
-    r = {true, "world-chmod'ed home file read"};
-  }
-  (void)fs.unlink(*v_cred, file);
-  return r;
-}
-
-HopResult exec_acl_grant(Ctx& ctx) {
-  core::Cluster& a = *ctx.a;
-  auto v_cred = simos::login(a.users(), ctx.victim_a);
-  if (!v_cred) return {false, "victim login failed"};
-  const simos::User* vu = a.users().find_user(ctx.victim_a);
-  vfs::FileSystem& fs = a.shared_fs();
-  const std::string file =
-      strformat("%s/oracle-acl-%d.dat", vu->home.c_str(),
-                (*ctx.serial)++);
-  (void)fs.write_file(*v_cred, file, "ACL-SECRET");
-  auto grant = fs.acl_set(
-      *v_cred, file,
-      vfs::AclEntry{vfs::AclTag::named_user, ctx.mallory, Gid{}, 4});
-  (void)fs.acl_set(
-      *v_cred, vu->home,
-      vfs::AclEntry{vfs::AclTag::named_user, ctx.mallory, Gid{}, 5});
-  HopResult r{false, "setfacl user grant rejected"};
-  if (grant) {
-    auto read = fs.read_file(ctx.adv->cred, file);
-    if (read && read->find("ACL-SECRET") != std::string::npos) {
-      r = {true, "setfacl grant succeeded and file read"};
-    } else {
-      r.detail = "grant stored but read denied";
-    }
-  }
-  (void)fs.unlink(*v_cred, file);
-  (void)fs.acl_remove(*v_cred, vu->home, vfs::AclTag::named_user,
-                      ctx.mallory, Gid{});
-  return r;
-}
-
-HopResult exec_tmp_names(Ctx& ctx) {
-  core::Cluster& a = *ctx.a;
-  auto vs = a.login(ctx.victim_a);
-  if (!vs) return {false, "victim login failed"};
-  vfs::FileSystem& fs = a.node(vs->node).local_fs();
-  const std::string name =
-      strformat("oracle-projectname-leak-%d", (*ctx.serial)++);
-  (void)fs.write_file(vs->cred, "/tmp/" + name, "x");
-  auto listing = fs.readdir(ctx.adv->cred, "/tmp");
-  HopResult r{false, "victim /tmp file name invisible"};
-  if (listing) {
-    for (const auto& e : *listing) {
-      if (e.name == name) {
-        r = {true, "victim file name visible in /tmp"};
-        break;
-      }
-    }
-  }
-  (void)fs.unlink(vs->cred, "/tmp/" + name);
-  a.logout(*vs);
-  return r;
-}
-
-/// /tmp and /dev/shm content, from the login node or from the victim's
-/// node vantage (the multi-hop payoff: the node's local fs is only
-/// reachable once ssh_gate or colocation has landed the adversary
-/// there).
-HopResult exec_tmp_content(Ctx& ctx, const char* base, bool from_node) {
-  core::Cluster& a = *ctx.a;
-  if (from_node && !ctx.vantage_node) return {false, "no node vantage"};
-  auto v_cred = simos::login(a.users(), ctx.victim_a);
-  if (!v_cred) return {false, "victim login failed"};
   std::optional<core::Session> vs;
-  NodeId where{};
-  if (from_node) {
-    where = *ctx.vantage_node;
+  if (spec.from == Vantage::victim_node) {
+    if (!ctx.vantage_node) return {false, "no node vantage"};
+    auto cred = simos::login(a.users(), ctx.victim_a);
+    if (!cred) return {false, "victim login failed"};
+    core::Node& nd = a.node(*ctx.vantage_node);
+    vs = core::Session{*cred, *ctx.vantage_node,
+                       nd.procs().spawn(*cred, "-bash")};
   } else {
     auto login = a.login(ctx.victim_a);
     if (!login) return {false, "victim login failed"};
     vs = *login;
-    where = vs->node;
   }
-  vfs::FileSystem& fs = a.node(where).local_fs();
-  const std::string file =
-      strformat("%s/oracle-%d.dat", base, (*ctx.serial)++);
-  (void)fs.write_file(*v_cred, file, "TMP-SECRET");
-  (void)fs.chmod(*v_cred, file, 0666);
-  auto read = fs.read_file(ctx.adv->cred, file);
-  HopResult r{false, strformat("%s content unreadable", base)};
-  if (read && read->find("TMP-SECRET") != std::string::npos) {
-    r = {true, strformat("%s content read cross-user", base)};
-  }
-  (void)fs.unlink(*v_cred, file);
-  if (vs) a.logout(*vs);
-  return r;
-}
-
-HopResult exec_procfs(Ctx& ctx, bool want_cmdline, bool from_node) {
-  core::Cluster& a = *ctx.a;
-  if (from_node && !ctx.vantage_node) return {false, "no node vantage"};
-  auto v_cred = simos::login(a.users(), ctx.victim_a);
-  if (!v_cred) return {false, "victim login failed"};
-  std::optional<core::Session> vs;
-  NodeId where{};
-  if (from_node) {
-    where = *ctx.vantage_node;
-  } else {
-    auto login = a.login(ctx.victim_a);
-    if (!login) return {false, "victim login failed"};
-    vs = *login;
-    where = vs->node;
-  }
-  core::Node& nd = a.node(where);
-  const Pid pid = nd.procs().spawn(
-      *v_cred, "python train.py --api-key=ORACLE-PROC-SECRET");
-  HopResult r{false,
-              want_cmdline ? "victim command line unreadable"
-                           : "victim pids invisible"};
-  if (want_cmdline) {
-    auto details = nd.procfs().read_details(ctx.adv->cred, pid);
-    if (details && details->cmdline.find("ORACLE-PROC-SECRET") !=
-                       std::string::npos) {
-      r = {true, "victim command line (with secret) read"};
-    }
-  } else {
-    for (Pid p : nd.procfs().list(ctx.adv->cred)) {
-      auto st = nd.procfs().stat(ctx.adv->cred, p);
-      if (st && st->uid == ctx.victim_a) {
-        r = {true, "victim pid listed"};
-        break;
-      }
-    }
-  }
-  (void)nd.procs().exit(pid);
-  if (vs) a.logout(*vs);
-  return r;
-}
-
-// ---------------------------------------------------------------------------
-// GPU hop
-// ---------------------------------------------------------------------------
-
-HopResult exec_gpu_residue(Ctx& ctx) {
-  core::Cluster& a = *ctx.a;
-  auto vs = a.login(ctx.victim_a);
-  if (!vs) return {false, "victim login failed"};
-  sched::JobSpec vspec;
-  vspec.name = "oracle-gpu-writer";
-  vspec.gpus_per_task = 1;
-  vspec.mem_mb_per_task = 512;
-  vspec.duration_ns = 10 * common::kSecond;
-  auto vjob = a.submit(*vs, vspec);
-  HopResult r{false, "gpu residue not reproduced"};
-  if (vjob) {
-    a.scheduler().step();
-    const sched::Job* j = a.scheduler().find_job(*vjob);
-    if (j != nullptr && j->state == sched::JobState::running) {
-      core::Node& nd = a.node(j->allocations.front().node);
-      const GpuId g = j->allocations.front().gpus.front();
-      auto dev = nd.local_fs().open_device(
-          vs->cred, core::Node::gpu_dev_path(g.value()),
-          vfs::Access::write);
-      if (dev) {
-        (void)nd.gpus().at(g.value()).write(ctx.victim_a, 0,
-                                            "GPU-RESIDUE-SECRET");
-      }
-      a.run_jobs();  // the epilog scrubs (or not) per policy
-
-      sched::JobSpec ospec;
-      ospec.name = "oracle-gpu-reader";
-      ospec.gpus_per_task = 1;
-      ospec.mem_mb_per_task = 512;
-      ospec.duration_ns = 10 * common::kSecond;
-      auto ojob = a.submit(*ctx.adv, ospec);
-      if (ojob) {
-        a.scheduler().step();
-        const sched::Job* oj = a.scheduler().find_job(*ojob);
-        if (oj != nullptr && oj->state == sched::JobState::running) {
-          core::Node& ond = a.node(oj->allocations.front().node);
-          const GpuId og = oj->allocations.front().gpus.front();
-          auto odev = ond.local_fs().open_device(
-              ctx.adv->cred, core::Node::gpu_dev_path(og.value()),
-              vfs::Access::read);
-          if (odev) {
-            auto mem = ond.gpus().at(og.value()).read(ctx.mallory, 0, 64);
-            if (mem && mem->find("GPU-RESIDUE-SECRET") !=
-                           std::string::npos) {
-              r = {true, "previous tenant's GPU memory read"};
-            } else {
-              r.detail = "device memory scrubbed before reassignment";
-            }
-          }
-        }
-        a.run_jobs();
-      }
-    }
-  }
+  ProbeOutcome out =
+      core::channel_probe(*spec.channel).run({a, *vs, *ctx.adv});
   a.logout(*vs);
-  return r;
+  return out;
 }
 
 // ---------------------------------------------------------------------------
 // Federation hops
 // ---------------------------------------------------------------------------
 
-HopResult exec_fed_gateway(Ctx& ctx) {
+ProbeOutcome exec_fed_gateway(Ctx& ctx) {
   // The WAN hop every federated operation starts with: the enforcing
   // peer verifies mallory's claimed identity with their home cluster.
   auto ident = ctx.fed->remote_ident(1, 0, ctx.mallory);
@@ -565,7 +204,7 @@ HopResult exec_fed_gateway(Ctx& ctx) {
   return {true, "peer verified mallory with the home cluster"};
 }
 
-HopResult exec_fed_connect(Ctx& ctx) {
+ProbeOutcome exec_fed_connect(Ctx& ctx) {
   core::Cluster& b = *ctx.b;
   auto vs = b.login(ctx.victim_b);
   if (!vs) return {false, "victim login failed on peer"};
@@ -575,7 +214,7 @@ HopResult exec_fed_connect(Ctx& ctx) {
   (void)nw.listen(vhost, vs->cred, vs->shell, net::Proto::tcp, port);
   auto flow =
       ctx.fed->connect(0, ctx.adv->cred, 1, vhost, net::Proto::tcp, port);
-  HopResult r{false, "federated connect denied"};
+  ProbeOutcome r{false, "federated connect denied"};
   if (flow) {
     r = {true, "federated flow to the victim's service established"};
     (void)nw.close(*flow);
@@ -585,79 +224,30 @@ HopResult exec_fed_connect(Ctx& ctx) {
   return r;
 }
 
-HopResult exec_fed_portal(Ctx& ctx) {
+ProbeOutcome exec_fed_portal(Ctx& ctx) {
   core::Cluster& b = *ctx.b;
   auto vs = b.login(ctx.victim_b);
   if (!vs) return {false, "victim login failed on peer"};
-  sched::JobSpec spec;
-  spec.name = "oracle-fed-jupyter";
-  spec.interactive = true;
-  spec.duration_ns = 3600 * common::kSecond;
-  auto job = b.submit(*vs, spec);
-  HopResult r{false, "federated portal forward denied"};
-  if (job) {
-    b.scheduler().step();
-    const auto jn = running_node(b, *job);
-    if (jn) {
-      auto app = b.portal().register_app(
-          vs->cred, Pid{}, *job, b.node(*jn).host(), 8888, "jupyter",
-          [](const std::string&) {
-            return std::string("NOTEBOOK-TOKEN");
-          });
-      if (app) {
-        auto resp = ctx.fed->portal_request(0, ctx.adv->cred, 1, *app,
-                                            "GET / HTTP/1.1");
-        if (resp && resp->find("NOTEBOOK-TOKEN") != std::string::npos) {
-          r = {true, "victim's notebook served across the federation"};
-        }
-        (void)b.portal().unregister_app(vs->cred, *app);
-      }
-    }
-    (void)b.scheduler().cancel(vs->cred, *job);
-  } else {
-    r.detail = "victim submit failed";
-  }
+  const auto fetch = [&](portal::AppId app) {
+    return ctx.fed->portal_request(0, ctx.adv->cred, 1, app, "GET / HTTP/1.1");
+  };
+  ProbeOutcome out = core::with_victim_notebook(b, *vs, fetch);
   b.logout(*vs);
-  return r;
+  return out;
 }
 
-HopResult execute_edge(Ctx& ctx, const GraphEdge& e) {
-  switch (e.spec->id) {
+ProbeOutcome execute_edge(Ctx& ctx, const EdgeSpec& spec) {
+  if (runs_channel_probe(spec)) return exec_channel(ctx, spec);
+  switch (spec.id) {
     case EdgeId::ssh_gate: return exec_ssh_gate(ctx);
     case EdgeId::colocation: return exec_colocation(ctx);
-    case EdgeId::sched_queue: return exec_sched_queue(ctx);
-    case EdgeId::sched_accounting: return exec_sched_accounting(ctx);
-    case EdgeId::sched_usage: return exec_sched_usage(ctx);
-    case EdgeId::tcp_direct: return exec_flow(ctx, net::Proto::tcp, 23456);
-    case EdgeId::udp_direct: return exec_flow(ctx, net::Proto::udp, 23457);
-    case EdgeId::rdma_tcp: return exec_rdma_tcp(ctx);
-    case EdgeId::rdma_cm: return exec_rdma_cm(ctx);
-    case EdgeId::uds_login: return exec_uds(ctx, false);
-    case EdgeId::uds_node: return exec_uds(ctx, true);
     case EdgeId::portal_auth: return exec_portal_auth(ctx);
     case EdgeId::portal_forward: return exec_portal_forward(ctx);
-    case EdgeId::home_read: return exec_home_read(ctx);
-    case EdgeId::acl_grant: return exec_acl_grant(ctx);
-    case EdgeId::tmp_names: return exec_tmp_names(ctx);
-    case EdgeId::tmp_content_login:
-      return exec_tmp_content(ctx, "/tmp", false);
-    case EdgeId::devshm_login:
-      return exec_tmp_content(ctx, "/dev/shm", false);
-    case EdgeId::tmp_content_node:
-      return exec_tmp_content(ctx, "/tmp", true);
-    case EdgeId::devshm_node:
-      return exec_tmp_content(ctx, "/dev/shm", true);
-    case EdgeId::procfs_list_login: return exec_procfs(ctx, false, false);
-    case EdgeId::procfs_cmdline_login:
-      return exec_procfs(ctx, true, false);
-    case EdgeId::procfs_list_node: return exec_procfs(ctx, false, true);
-    case EdgeId::procfs_cmdline_node: return exec_procfs(ctx, true, true);
-    case EdgeId::gpu_residue: return exec_gpu_residue(ctx);
     case EdgeId::fed_gateway: return exec_fed_gateway(ctx);
     case EdgeId::fed_connect: return exec_fed_connect(ctx);
     case EdgeId::fed_portal: return exec_fed_portal(ctx);
+    default: return {false, "no executor"};
   }
-  return {false, "no executor"};
 }
 
 /// The knob a Decision should attribute when this (statically absent)
@@ -665,50 +255,18 @@ HopResult execute_edge(Ctx& ctx, const GraphEdge& e) {
 /// channels never block; fs read denials carry no knob, so fs hops are
 /// attributed through the victim-side chmod/acl denial inside the same
 /// trace window).
-std::string blocked_knob(const SeparationPolicy& p, EdgeId id) {
-  switch (id) {
-    case EdgeId::ssh_gate:
-      return obs::knob::pam_slurm;
-    case EdgeId::colocation:
-      // The placement refusal is only attributed when the victim's
-      // whole-node binding is what exhausts the cluster.
-      return p.sharing == sched::SharingPolicy::user_whole_node
-                 ? obs::knob::sharing
-                 : "";
-    case EdgeId::sched_queue:
-      return obs::knob::private_data_jobs;
-    case EdgeId::sched_accounting:
-      return obs::knob::private_data_accounting;
-    case EdgeId::sched_usage:
-      return obs::knob::private_data_usage;
-    case EdgeId::tcp_direct:
-    case EdgeId::udp_direct:
-    case EdgeId::rdma_tcp:
-    case EdgeId::portal_forward:
-    case EdgeId::fed_connect:
-    case EdgeId::fed_portal:
-      return obs::knob::ubf;
-    case EdgeId::procfs_list_login:
-    case EdgeId::procfs_cmdline_login:
-    case EdgeId::procfs_list_node:
-    case EdgeId::procfs_cmdline_node:
-      return obs::knob::hidepid;
-    case EdgeId::tmp_content_login:
-    case EdgeId::devshm_login:
-    case EdgeId::tmp_content_node:
-    case EdgeId::devshm_node:
-      return obs::knob::fs_enforce_smask;
-    case EdgeId::home_read:
-      return p.root_owned_homes ? obs::knob::root_owned_homes
-                                : obs::knob::fs_enforce_smask;
-    case EdgeId::acl_grant:
-      return p.fs.restrict_acl ? obs::knob::fs_restrict_acl
-                               : obs::knob::root_owned_homes;
-    case EdgeId::gpu_residue:
-      return obs::knob::gpu_epilog_scrub;
-    default:
-      return "";
+std::string blocked_knob(const SeparationPolicy& p, const EdgeSpec& spec) {
+  if (spec.channel) {
+    const char* knob = core::channel_probe(*spec.channel).deny_knob(p);
+    return knob != nullptr ? knob : "";
   }
+  // The placement refusal is only attributed when the victim's
+  // whole-node binding is what exhausts the cluster.
+  if (spec.id == EdgeId::colocation &&
+      p.sharing == sched::SharingPolicy::user_whole_node) {
+    return obs::knob::sharing;
+  }
+  return "";
 }
 
 bool knob_in_window(core::Cluster& c, std::uint64_t start,
@@ -756,12 +314,12 @@ PathTrial execute_path(const ChannelGraph& graph, const AttackPath& path,
       }
     } else if (!hop.expected_cross) {
       hop.predicted_knob = blocked_knob(
-          graph.clusters().at(e.enforcing_cluster).policy, e.spec->id);
+          graph.clusters().at(e.enforcing_cluster).policy, *e.spec);
     }
     const std::uint64_t start_a = ctx.a->trace().total();
     const std::uint64_t start_b = ctx.b->trace().total();
-    const HopResult res = execute_edge(ctx, e);
-    hop.crossed = res.crossed;
+    const ProbeOutcome res = execute_edge(ctx, *e.spec);
+    hop.crossed = res.open;
     hop.detail = res.detail;
     if (!hop.crossed && !hop.predicted_knob.empty()) {
       hop.knob_observed =
@@ -785,6 +343,13 @@ PathTrial execute_path(const ChannelGraph& graph, const AttackPath& path,
 }
 
 }  // namespace
+
+bool runs_channel_probe(const EdgeSpec& spec) {
+  // The footholds hand their shell or portal session to the next hop,
+  // and the fed hops stage on the peer cluster.
+  return spec.channel && std::strcmp(spec.layer, "fed") != 0 &&
+         spec.id != EdgeId::ssh_gate && spec.id != EdgeId::portal_forward;
+}
 
 OracleRun run_path_oracle(const OracleOptions& opts) {
   OracleRun run;
@@ -817,7 +382,6 @@ OracleRun run_path_oracle(const OracleOptions& opts) {
   AlwaysPartitioned wan;
   if (opts.partition_link) fed.set_link_faults(&wan);
 
-  int serial = 0;
   const auto run_one = [&](const AttackPath& path) {
     Ctx ctx;
     ctx.a = &a;
@@ -826,7 +390,6 @@ OracleRun run_path_oracle(const OracleOptions& opts) {
     ctx.victim_a = victim_a;
     ctx.victim_b = victim_b;
     ctx.mallory = mallory;
-    ctx.serial = &serial;
     PathTrial trial =
         execute_path(graph, path, std::move(ctx), opts.partition_link);
     run.agree_count += trial.agree ? 1 : 0;

@@ -15,6 +15,12 @@
 //      severing knob landed on one of the clusters' traces during that
 //      hop's trace window.
 //
+// Every channel hop is played through its core::channel_probes() entry —
+// the same probe the LeakageAuditor runs — from the login node or from
+// the victim's node. Only the hops that carry state into the next one
+// have executors here: the ssh/co-scheduling/portal footholds and the
+// federation hops.
+//
 // The standard run matrix covers hardened/hardened, baseline/baseline,
 // both asymmetric pairs (the enforcing side's verdict must win in both
 // directions), one single-knob ablation, and a partitioned WAN — which
@@ -83,6 +89,11 @@ struct OracleOptions {
   bool partition_link = false;
   std::string label;
 };
+
+/// True when the oracle plays `spec` through core::channel_probes():
+/// every channel edge except the fed-layer hops and the ssh_gate /
+/// portal_forward footholds.
+[[nodiscard]] bool runs_channel_probe(const EdgeSpec& spec);
 
 /// Execute every potential path of the (policy_a, policy_b) graph
 /// against a live federation (partitioned runs execute the

@@ -3,11 +3,11 @@
 #include <algorithm>
 
 #include "common/strings.h"
+#include "core/channel_probe.h"
 
 namespace heus::core {
 
 using common::strformat;
-using simos::Credentials;
 
 std::size_t LeakageAuditor::open_count(
     const std::vector<ChannelReport>& reports) {
@@ -44,573 +44,20 @@ std::string LeakageAuditor::to_markdown(
 std::vector<ChannelReport> LeakageAuditor::audit_pair(Uid victim,
                                                       Uid observer) {
   std::vector<ChannelReport> out;
-  out.push_back(probe_procfs_list(victim, observer));
-  out.push_back(probe_procfs_cmdline(victim, observer));
-  out.push_back(probe_scheduler_queue(victim, observer));
-  out.push_back(probe_scheduler_accounting(victim, observer));
-  out.push_back(probe_scheduler_usage(victim, observer));
-  out.push_back(probe_ssh_foreign_node(victim, observer));
-  out.push_back(probe_fs_home(victim, observer));
-  out.push_back(probe_fs_tmp(victim, observer, "/tmp",
-                             ChannelKind::fs_tmp_content));
-  out.push_back(probe_fs_tmp_names(victim, observer));
-  out.push_back(probe_fs_tmp(victim, observer, "/dev/shm",
-                             ChannelKind::fs_devshm_content));
-  out.push_back(probe_fs_acl_grant(victim, observer));
-  out.push_back(probe_tcp(victim, observer));
-  out.push_back(probe_udp(victim, observer));
-  out.push_back(probe_abstract_uds(victim, observer));
-  out.push_back(probe_rdma_tcp(victim, observer));
-  out.push_back(probe_rdma_cm(victim, observer));
-  out.push_back(probe_portal(victim, observer));
-  out.push_back(probe_gpu_residue(victim, observer));
+  for (const ChannelProbe& probe : channel_probes()) {
+    ChannelReport rep{probe.kind, false, "login failed"};
+    auto vs = cluster_->login(victim);
+    auto os = cluster_->login(observer);
+    if (vs && os) {
+      ProbeOutcome got = probe.run({*cluster_, *vs, *os});
+      rep.open = got.open;
+      rep.detail = std::move(got.detail);
+    }
+    if (vs) cluster_->logout(*vs);
+    if (os) cluster_->logout(*os);
+    out.push_back(std::move(rep));
+  }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// §IV-A processes
-// ---------------------------------------------------------------------------
-
-ChannelReport LeakageAuditor::probe_procfs_list(Uid victim, Uid observer) {
-  ChannelReport rep{ChannelKind::procfs_process_list, false, ""};
-  auto vs = cluster_->login(victim);
-  auto os = cluster_->login(observer);
-  if (!vs || !os) {
-    rep.detail = "login failed";
-    return rep;
-  }
-  Node& nd = cluster_->node(vs->node);
-  for (Pid pid : nd.procfs().list(os->cred)) {
-    auto st = nd.procfs().stat(os->cred, pid);
-    if (st && st->uid == victim) {
-      rep.open = true;
-      rep.detail = strformat("victim pid %u listed", pid.value());
-      break;
-    }
-  }
-  cluster_->logout(*vs);
-  cluster_->logout(*os);
-  return rep;
-}
-
-ChannelReport LeakageAuditor::probe_procfs_cmdline(Uid victim,
-                                                   Uid observer) {
-  ChannelReport rep{ChannelKind::procfs_cmdline, false, ""};
-  auto vs = cluster_->login(victim);
-  auto os = cluster_->login(observer);
-  if (!vs || !os) {
-    rep.detail = "login failed";
-    return rep;
-  }
-  Node& nd = cluster_->node(vs->node);
-  const Pid pid = nd.procs().spawn(
-      vs->cred, "python train.py --api-key=AUDIT-PROC-SECRET");
-  auto details = nd.procfs().read_details(os->cred, pid);
-  if (details && details->cmdline.find("AUDIT-PROC-SECRET") !=
-                     std::string::npos) {
-    rep.open = true;
-    rep.detail = "command line (with embedded secret) readable";
-  }
-  (void)nd.procs().exit(pid);
-  cluster_->logout(*vs);
-  cluster_->logout(*os);
-  return rep;
-}
-
-// ---------------------------------------------------------------------------
-// §IV-B scheduler
-// ---------------------------------------------------------------------------
-
-ChannelReport LeakageAuditor::probe_scheduler_queue(Uid victim,
-                                                    Uid observer) {
-  ChannelReport rep{ChannelKind::scheduler_queue, false, ""};
-  auto vs = cluster_->login(victim);
-  auto os = cluster_->login(observer);
-  if (!vs || !os) {
-    rep.detail = "login failed";
-    return rep;
-  }
-  sched::JobSpec spec;
-  spec.name = "audit-sensitive-jobname";
-  spec.command = "./proprietary_sim --input=/proj/secret";
-  spec.duration_ns = 3600 * common::kSecond;
-  auto job = cluster_->submit(*vs, spec);
-  if (job) {
-    for (const auto& view : cluster_->scheduler().list_jobs(os->cred)) {
-      if (view.id == *job) {
-        rep.open = true;
-        rep.detail = "job name/command visible in squeue";
-        break;
-      }
-    }
-    (void)cluster_->scheduler().cancel(vs->cred, *job);
-  }
-  cluster_->logout(*vs);
-  cluster_->logout(*os);
-  return rep;
-}
-
-ChannelReport LeakageAuditor::probe_scheduler_accounting(Uid victim,
-                                                         Uid observer) {
-  ChannelReport rep{ChannelKind::scheduler_accounting, false, ""};
-  auto vs = cluster_->login(victim);
-  auto os = cluster_->login(observer);
-  if (!vs || !os) {
-    rep.detail = "login failed";
-    return rep;
-  }
-  sched::JobSpec spec;
-  spec.name = "audit-acct-job";
-  spec.duration_ns = common::kSecond;
-  auto job = cluster_->submit(*vs, spec);
-  if (job) {
-    cluster_->run_jobs();
-    for (const auto& rec : cluster_->scheduler().accounting(os->cred)) {
-      if (rec.id == *job) {
-        rep.open = true;
-        rep.detail = "victim's sacct record readable";
-        break;
-      }
-    }
-  }
-  cluster_->logout(*vs);
-  cluster_->logout(*os);
-  return rep;
-}
-
-ChannelReport LeakageAuditor::probe_scheduler_usage(Uid victim,
-                                                    Uid observer) {
-  ChannelReport rep{ChannelKind::scheduler_usage, false, ""};
-  auto os_cred = simos::login(cluster_->users(), observer);
-  if (!os_cred) {
-    rep.detail = "login failed";
-    return rep;
-  }
-  auto usage = cluster_->scheduler().usage_by_user(*os_cred);
-  if (usage.contains(victim)) {
-    rep.open = true;
-    rep.detail = "victim's aggregate usage visible in sreport";
-  }
-  return rep;
-}
-
-ChannelReport LeakageAuditor::probe_ssh_foreign_node(Uid victim,
-                                                     Uid observer) {
-  ChannelReport rep{ChannelKind::ssh_foreign_node, false, ""};
-  auto vs = cluster_->login(victim);
-  auto os = cluster_->login(observer);
-  if (!vs || !os) {
-    rep.detail = "login failed";
-    return rep;
-  }
-  sched::JobSpec spec;
-  spec.name = "audit-ssh-probe";
-  spec.duration_ns = 3600 * common::kSecond;
-  auto job = cluster_->submit(*vs, spec);
-  if (job) {
-    cluster_->scheduler().step();  // dispatch
-    const sched::Job* j = cluster_->scheduler().find_job(*job);
-    if (j != nullptr && j->state == sched::JobState::running &&
-        !j->allocations.empty()) {
-      const NodeId target = j->allocations.front().node;
-      auto shell = cluster_->ssh(*os, target);
-      if (shell) {
-        rep.open = true;
-        rep.detail = strformat("ssh into %s admitted",
-                               cluster_->node(target).hostname().c_str());
-        cluster_->logout(*shell);
-      }
-    }
-    (void)cluster_->scheduler().cancel(vs->cred, *job);
-  }
-  cluster_->logout(*vs);
-  cluster_->logout(*os);
-  return rep;
-}
-
-// ---------------------------------------------------------------------------
-// §IV-C filesystems
-// ---------------------------------------------------------------------------
-
-ChannelReport LeakageAuditor::probe_fs_home(Uid victim, Uid observer) {
-  ChannelReport rep{ChannelKind::fs_home_read, false, ""};
-  auto v_cred = simos::login(cluster_->users(), victim);
-  auto o_cred = simos::login(cluster_->users(), observer);
-  if (!v_cred || !o_cred) {
-    rep.detail = "login failed";
-    return rep;
-  }
-  const simos::User* vu = cluster_->users().find_user(victim);
-  const std::string file = vu->home + "/audit-secret.dat";
-  vfs::FileSystem& fs = cluster_->shared_fs();
-  (void)fs.write_file(*v_cred, file, "HOME-SECRET");
-  // The accidental-misconfiguration scenario: the victim tries to open
-  // everything up (mis-typed chmod). Under smask + root-owned homes both
-  // steps are neutralised.
-  (void)fs.chmod(*v_cred, vu->home, 0777);
-  (void)fs.chmod(*v_cred, file, 0666);
-  auto read = fs.read_file(*o_cred, file);
-  if (read && read->find("HOME-SECRET") != std::string::npos) {
-    rep.open = true;
-    rep.detail = "world-chmod'ed home file readable by observer";
-  }
-  (void)fs.unlink(*v_cred, file);
-  return rep;
-}
-
-ChannelReport LeakageAuditor::probe_fs_tmp(Uid victim, Uid observer,
-                                           const char* base,
-                                           ChannelKind kind) {
-  ChannelReport rep{kind, false, ""};
-  auto vs = cluster_->login(victim);
-  auto os = cluster_->login(observer);
-  if (!vs || !os) {
-    rep.detail = "login failed";
-    return rep;
-  }
-  vfs::FileSystem& fs = cluster_->node(vs->node).local_fs();
-  const std::string file =
-      strformat("%s/audit-%u.dat", base, victim.value());
-  (void)fs.write_file(vs->cred, file, "TMP-SECRET");
-  (void)fs.chmod(vs->cred, file, 0666);  // accidental world-readable
-  auto read = fs.read_file(os->cred, file);
-  if (read && read->find("TMP-SECRET") != std::string::npos) {
-    rep.open = true;
-    rep.detail = strformat("%s file content readable cross-user", base);
-  }
-  (void)fs.unlink(vs->cred, file);
-  cluster_->logout(*vs);
-  cluster_->logout(*os);
-  return rep;
-}
-
-ChannelReport LeakageAuditor::probe_fs_tmp_names(Uid victim, Uid observer) {
-  ChannelReport rep{ChannelKind::fs_tmp_names, false, ""};
-  auto vs = cluster_->login(victim);
-  auto os = cluster_->login(observer);
-  if (!vs || !os) {
-    rep.detail = "login failed";
-    return rep;
-  }
-  vfs::FileSystem& fs = cluster_->node(vs->node).local_fs();
-  const std::string name =
-      strformat("audit-projectname-leak-%u", victim.value());
-  (void)fs.write_file(vs->cred, std::string("/tmp/") + name, "x");
-  auto listing = fs.readdir(os->cred, "/tmp");
-  if (listing) {
-    for (const auto& e : *listing) {
-      if (e.name == name) {
-        rep.open = true;
-        rep.detail = "file *name* visible in world-writable /tmp "
-                     "(documented residual channel)";
-        break;
-      }
-    }
-  }
-  (void)fs.unlink(vs->cred, std::string("/tmp/") + name);
-  cluster_->logout(*vs);
-  cluster_->logout(*os);
-  return rep;
-}
-
-ChannelReport LeakageAuditor::probe_fs_acl_grant(Uid victim, Uid observer) {
-  ChannelReport rep{ChannelKind::fs_acl_user_grant, false, ""};
-  auto v_cred = simos::login(cluster_->users(), victim);
-  auto o_cred = simos::login(cluster_->users(), observer);
-  if (!v_cred || !o_cred) {
-    rep.detail = "login failed";
-    return rep;
-  }
-  const simos::User* vu = cluster_->users().find_user(victim);
-  vfs::FileSystem& fs = cluster_->shared_fs();
-  const std::string file = vu->home + "/audit-acl.dat";
-  (void)fs.write_file(*v_cred, file, "ACL-SECRET");
-  // Direct user-to-user grant, bypassing any approved project group.
-  auto grant = fs.acl_set(
-      *v_cred, file,
-      vfs::AclEntry{vfs::AclTag::named_user, observer, Gid{}, 4});
-  // The observer additionally needs traversal into the home directory; a
-  // cooperative victim would try to open that too.
-  (void)fs.acl_set(
-      *v_cred, vu->home,
-      vfs::AclEntry{vfs::AclTag::named_user, observer, Gid{}, 5});
-  if (grant) {
-    auto read = fs.read_file(*o_cred, file);
-    if (read && read->find("ACL-SECRET") != std::string::npos) {
-      rep.open = true;
-      rep.detail = "setfacl u:<observer>:r succeeded and file read";
-    }
-  } else {
-    rep.detail = strformat("setfacl rejected (%s)",
-                           std::string(errno_name(grant.error())).c_str());
-  }
-  (void)fs.unlink(*v_cred, file);
-  (void)fs.acl_remove(*v_cred, vu->home, vfs::AclTag::named_user, observer,
-                      Gid{});
-  return rep;
-}
-
-// ---------------------------------------------------------------------------
-// §IV-D network
-// ---------------------------------------------------------------------------
-
-ChannelReport LeakageAuditor::probe_tcp(Uid victim, Uid observer) {
-  ChannelReport rep{ChannelKind::tcp_cross_user, false, ""};
-  auto vs = cluster_->login(victim);
-  auto os = cluster_->login(observer);
-  if (!vs || !os) {
-    rep.detail = "login failed";
-    return rep;
-  }
-  net::Network& nw = cluster_->network();
-  const HostId vhost = cluster_->node(vs->node).host();
-  const std::uint16_t port = 23456;
-  (void)nw.listen(vhost, vs->cred, vs->shell, net::Proto::tcp, port);
-  auto flow = nw.connect(cluster_->node(os->node).host(), os->cred,
-                         os->shell, vhost, net::Proto::tcp, port);
-  if (flow) {
-    rep.open = true;
-    rep.detail = "TCP connection to foreign service established";
-    (void)nw.close(*flow);
-  } else {
-    rep.detail = "connection dropped";
-  }
-  (void)nw.close_listener(vhost, net::Proto::tcp, port);
-  cluster_->logout(*vs);
-  cluster_->logout(*os);
-  return rep;
-}
-
-ChannelReport LeakageAuditor::probe_udp(Uid victim, Uid observer) {
-  ChannelReport rep{ChannelKind::udp_cross_user, false, ""};
-  auto vs = cluster_->login(victim);
-  auto os = cluster_->login(observer);
-  if (!vs || !os) {
-    rep.detail = "login failed";
-    return rep;
-  }
-  net::Network& nw = cluster_->network();
-  const HostId vhost = cluster_->node(vs->node).host();
-  const std::uint16_t port = 23457;
-  (void)nw.listen(vhost, vs->cred, vs->shell, net::Proto::udp, port);
-  auto flow = nw.connect(cluster_->node(os->node).host(), os->cred,
-                         os->shell, vhost, net::Proto::udp, port);
-  if (flow) {
-    rep.open = true;
-    rep.detail = "UDP flow to foreign service established";
-    (void)nw.close(*flow);
-  } else {
-    rep.detail = "flow dropped";
-  }
-  (void)nw.close_listener(vhost, net::Proto::udp, port);
-  cluster_->logout(*vs);
-  cluster_->logout(*os);
-  return rep;
-}
-
-ChannelReport LeakageAuditor::probe_abstract_uds(Uid victim, Uid observer) {
-  ChannelReport rep{ChannelKind::abstract_uds, false, ""};
-  auto vs = cluster_->login(victim);
-  auto os = cluster_->login(observer);
-  if (!vs || !os) {
-    rep.detail = "login failed";
-    return rep;
-  }
-  net::Network& nw = cluster_->network();
-  const HostId host = cluster_->node(vs->node).host();
-  const std::string name = strformat("@audit-%u", victim.value());
-  (void)nw.unix_listen_abstract(host, vs->cred, name);
-  auto peer = nw.unix_connect_abstract(host, os->cred, name);
-  if (peer && *peer == victim) {
-    rep.open = true;
-    rep.detail = "abstract unix socket rendezvous succeeded "
-                 "(documented residual channel)";
-  }
-  (void)nw.unix_close_abstract(host, name);
-  cluster_->logout(*vs);
-  cluster_->logout(*os);
-  return rep;
-}
-
-ChannelReport LeakageAuditor::probe_rdma_tcp(Uid victim, Uid observer) {
-  ChannelReport rep{ChannelKind::rdma_tcp_setup, false, ""};
-  auto vs = cluster_->login(victim);
-  auto os = cluster_->login(observer);
-  if (!vs || !os) {
-    rep.detail = "login failed";
-    return rep;
-  }
-  net::Network& nw = cluster_->network();
-  const HostId vhost = cluster_->node(vs->node).host();
-  const std::uint16_t port = 24000;
-  (void)nw.listen(vhost, vs->cred, vs->shell, net::Proto::tcp, port);
-  auto qp = cluster_->rdma().setup_via_tcp(
-      cluster_->node(os->node).host(), os->cred, os->shell, vhost, port);
-  if (qp) {
-    rep.open = true;
-    rep.detail = "QP established via TCP control channel";
-    (void)cluster_->rdma().destroy(*qp);
-  } else {
-    rep.detail = "QP setup blocked at the TCP control channel";
-  }
-  (void)nw.close_listener(vhost, net::Proto::tcp, port);
-  cluster_->logout(*vs);
-  cluster_->logout(*os);
-  return rep;
-}
-
-ChannelReport LeakageAuditor::probe_rdma_cm(Uid victim, Uid observer) {
-  ChannelReport rep{ChannelKind::rdma_native_cm, false, ""};
-  auto vs = cluster_->login(victim);
-  auto os = cluster_->login(observer);
-  if (!vs || !os) {
-    rep.detail = "login failed";
-    return rep;
-  }
-  auto qp = cluster_->rdma().setup_via_cm(
-      cluster_->node(os->node).host(), os->cred,
-      cluster_->node(vs->node).host(), victim);
-  if (qp) {
-    rep.open = true;
-    rep.detail = "QP established via native IB CM — nothing inspected it "
-                 "(documented residual channel)";
-    (void)cluster_->rdma().destroy(*qp);
-  }
-  cluster_->logout(*vs);
-  cluster_->logout(*os);
-  return rep;
-}
-
-// ---------------------------------------------------------------------------
-// §IV-E portal
-// ---------------------------------------------------------------------------
-
-ChannelReport LeakageAuditor::probe_portal(Uid victim, Uid observer) {
-  ChannelReport rep{ChannelKind::portal_foreign_app, false, ""};
-  auto vs = cluster_->login(victim);
-  auto os = cluster_->login(observer);
-  if (!vs || !os) {
-    rep.detail = "login failed";
-    return rep;
-  }
-  sched::JobSpec spec;
-  spec.name = "audit-jupyter";
-  spec.interactive = true;
-  spec.duration_ns = 3600 * common::kSecond;
-  auto job = cluster_->submit(*vs, spec);
-  if (job) {
-    cluster_->scheduler().step();
-    const sched::Job* j = cluster_->scheduler().find_job(*job);
-    if (j != nullptr && j->state == sched::JobState::running) {
-      const NodeId jn = j->allocations.front().node;
-      auto app = cluster_->portal().register_app(
-          vs->cred, Pid{}, *job, cluster_->node(jn).host(), 8888,
-          "jupyter",
-          [](const std::string&) { return std::string("NOTEBOOK-TOKEN"); });
-      if (app) {
-        auto token = cluster_->portal().login(os->cred);
-        if (token) {
-          auto resp =
-              cluster_->portal().request(*token, *app, "GET / HTTP/1.1");
-          if (resp && resp->find("NOTEBOOK-TOKEN") != std::string::npos) {
-            rep.open = true;
-            rep.detail = "foreign notebook served through the portal";
-          } else {
-            rep.detail = "portal forwarded hop denied";
-          }
-          (void)cluster_->portal().logout(*token);
-        }
-        (void)cluster_->portal().unregister_app(vs->cred, *app);
-      }
-    }
-    (void)cluster_->scheduler().cancel(vs->cred, *job);
-  }
-  cluster_->logout(*vs);
-  cluster_->logout(*os);
-  return rep;
-}
-
-// ---------------------------------------------------------------------------
-// §IV-F accelerators
-// ---------------------------------------------------------------------------
-
-ChannelReport LeakageAuditor::probe_gpu_residue(Uid victim, Uid observer) {
-  ChannelReport rep{ChannelKind::gpu_residue, false, ""};
-  if (cluster_->config().gpus_per_node == 0 ||
-      cluster_->compute_nodes().empty()) {
-    rep.detail = "skipped: cluster has no GPUs";
-    return rep;
-  }
-  auto vs = cluster_->login(victim);
-  auto os = cluster_->login(observer);
-  if (!vs || !os) {
-    rep.detail = "login failed";
-    return rep;
-  }
-
-  // Victim job takes every GPU in the cluster, writes a secret into the
-  // first one, and exits; the epilog scrubs (or not) per policy.
-  const unsigned total_gpus =
-      cluster_->config().gpus_per_node *
-      static_cast<unsigned>(cluster_->compute_nodes().size());
-  sched::JobSpec vspec;
-  vspec.name = "audit-gpu-writer";
-  vspec.num_tasks = total_gpus;
-  vspec.gpus_per_task = 1;
-  vspec.mem_mb_per_task = 512;
-  vspec.duration_ns = 10 * common::kSecond;
-  auto vjob = cluster_->submit(*vs, vspec);
-  if (vjob) {
-    cluster_->scheduler().step();
-    const sched::Job* j = cluster_->scheduler().find_job(*vjob);
-    if (j != nullptr && j->state == sched::JobState::running) {
-      const NodeId jn = j->allocations.front().node;
-      Node& nd = cluster_->node(jn);
-      const GpuId g = j->allocations.front().gpus.front();
-      auto dev = nd.local_fs().open_device(
-          vs->cred, Node::gpu_dev_path(g.value()), vfs::Access::write);
-      if (dev) {
-        (void)nd.gpus().at(g.value()).write(victim, 0, "GPU-RESIDUE-SECRET");
-      }
-      // Let the job run out; epilog fires.
-      cluster_->run_jobs();
-
-      // Observer takes a GPU job; first-fit hands back the same device.
-      sched::JobSpec ospec;
-      ospec.name = "audit-gpu-reader";
-      ospec.gpus_per_task = 1;
-      ospec.mem_mb_per_task = 512;
-      ospec.duration_ns = 10 * common::kSecond;
-      auto ojob = cluster_->submit(*os, ospec);
-      if (ojob) {
-        cluster_->scheduler().step();
-        const sched::Job* oj = cluster_->scheduler().find_job(*ojob);
-        if (oj != nullptr && oj->state == sched::JobState::running) {
-          const NodeId on = oj->allocations.front().node;
-          Node& ond = cluster_->node(on);
-          const GpuId og = oj->allocations.front().gpus.front();
-          auto odev = ond.local_fs().open_device(
-              os->cred, Node::gpu_dev_path(og.value()), vfs::Access::read);
-          if (odev) {
-            auto mem = ond.gpus().at(og.value()).read(observer, 0, 64);
-            if (mem &&
-                mem->find("GPU-RESIDUE-SECRET") != std::string::npos) {
-              rep.open = true;
-              rep.detail = "previous tenant's GPU memory readable";
-            } else {
-              rep.detail = "device memory scrubbed before reassignment";
-            }
-          } else {
-            rep.detail = "device node not openable";
-          }
-        }
-        cluster_->run_jobs();
-      }
-    }
-  }
-  cluster_->logout(*vs);
-  cluster_->logout(*os);
-  return rep;
 }
 
 // ---------------------------------------------------------------------------

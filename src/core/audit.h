@@ -11,7 +11,6 @@
 // set matches the paper's list exactly.
 #pragma once
 
-#include <array>
 #include <string>
 #include <vector>
 
@@ -54,9 +53,12 @@ class LeakageAuditor {
  public:
   explicit LeakageAuditor(Cluster* cluster) : cluster_(cluster) {}
 
-  /// Probe every channel from `victim` toward `observer`. Probes create
-  /// and remove their own artifacts (files, listeners, jobs) and leave the
-  /// cluster state as they found it, modulo accounting records.
+  /// Probe every channel from `victim` toward `observer`: run each
+  /// core::channel_probes() entry from fresh login shells on the login
+  /// node. Probes create and remove their own artifacts (files,
+  /// listeners, jobs) and leave the cluster state as they found it,
+  /// modulo accounting records; the shells are logged out again even
+  /// when one of the two logins fails.
   [[nodiscard]] std::vector<ChannelReport> audit_pair(Uid victim,
                                                       Uid observer);
 
@@ -80,25 +82,6 @@ class LeakageAuditor {
                                          const std::vector<Uid>& victims);
 
  private:
-  ChannelReport probe_procfs_list(Uid victim, Uid observer);
-  ChannelReport probe_procfs_cmdline(Uid victim, Uid observer);
-  ChannelReport probe_scheduler_queue(Uid victim, Uid observer);
-  ChannelReport probe_scheduler_accounting(Uid victim, Uid observer);
-  ChannelReport probe_scheduler_usage(Uid victim, Uid observer);
-  ChannelReport probe_ssh_foreign_node(Uid victim, Uid observer);
-  ChannelReport probe_fs_home(Uid victim, Uid observer);
-  ChannelReport probe_fs_tmp(Uid victim, Uid observer, const char* base,
-                             ChannelKind kind);
-  ChannelReport probe_fs_tmp_names(Uid victim, Uid observer);
-  ChannelReport probe_fs_acl_grant(Uid victim, Uid observer);
-  ChannelReport probe_tcp(Uid victim, Uid observer);
-  ChannelReport probe_udp(Uid victim, Uid observer);
-  ChannelReport probe_abstract_uds(Uid victim, Uid observer);
-  ChannelReport probe_rdma_tcp(Uid victim, Uid observer);
-  ChannelReport probe_rdma_cm(Uid victim, Uid observer);
-  ChannelReport probe_portal(Uid victim, Uid observer);
-  ChannelReport probe_gpu_residue(Uid victim, Uid observer);
-
   Cluster* cluster_;
 };
 

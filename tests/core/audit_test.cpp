@@ -103,6 +103,28 @@ TEST_F(AuditTest, ProbesAreRepeatable) {
   }
 }
 
+TEST_F(AuditTest, FailedLoginLeavesNoSessionBehind) {
+  // An observer with no account: every probe's observer login fails,
+  // and the victim's shell each probe did log in must be logged out.
+  cluster = std::make_unique<Cluster>(
+      audit_config(SeparationPolicy::hardened()));
+  victim = *cluster->add_user("victim");
+  const simos::ProcessTable& login_procs =
+      cluster->node(cluster->login_nodes().front()).procs();
+  const std::size_t procs_before = login_procs.count();
+  const std::vector<Pid> victim_pids_before = login_procs.pids_of(victim);
+
+  LeakageAuditor auditor(cluster.get());
+  const auto reports = auditor.audit_pair(victim, Uid{4242});
+
+  ASSERT_EQ(reports.size(), kAllChannels.size());
+  for (const auto& r : reports) {
+    EXPECT_FALSE(r.open) << to_string(r.kind) << ": " << r.detail;
+  }
+  EXPECT_EQ(login_procs.count(), procs_before);
+  EXPECT_EQ(login_procs.pids_of(victim), victim_pids_before);
+}
+
 TEST_F(AuditTest, BlastRadiusContainedUnderHardening) {
   cluster = std::make_unique<Cluster>(
       audit_config(SeparationPolicy::hardened()));

@@ -16,6 +16,11 @@ struct KnobCase {
   std::vector<ChannelKind> closes;
 };
 
+// Without this, gtest prints the parameter as a raw byte dump that holds
+// the addresses of `name` and `apply`, so the discovered ctest names would
+// change with every build and every ASLR layout.
+void PrintTo(const KnobCase& kc, std::ostream* os) { *os << kc.name; }
+
 void knob_hidepid(SeparationPolicy& p) {
   p.hidepid = simos::HidepidMode::invisible;
 }
