@@ -307,8 +307,7 @@ struct TraceProbe {
 };
 
 template <typename RecordOne>
-TraceProbe trace_probe(obs::DecisionTrace& trace, std::uint64_t decisions,
-                       RecordOne&& one) {
+TraceProbe trace_probe(std::uint64_t decisions, RecordOne&& one) {
   for (std::uint64_t i = 0; i < 4096; ++i) one(i);  // steady state
   const Window w = measure([&] {
     for (std::uint64_t i = 0; i < decisions; ++i) one(i);
@@ -371,9 +370,9 @@ void trace_section(bool smoke) {
     trace.set_enabled(path.enabled);
     const TraceProbe p =
         path.append
-            ? trace_probe(trace, decisions,
+            ? trace_probe(decisions,
                           [&](std::uint64_t i) { append_form(trace, i); })
-            : trace_probe(trace, decisions,
+            : trace_probe(decisions,
                           [&](std::uint64_t i) { value_form(trace, i); });
     if (!path.enabled && p.allocs != 0) disabled_clean = false;
     if (path.enabled && !path.append) value_bytes = p.bytes;

@@ -11,12 +11,13 @@
 // fenced off), makespan, mean queue wait, and the number of cross-user
 // co-residency events (the isolation metric — must be 0 for exclusive and
 // user-whole-node).
+#include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "bench/common/json.h"
 #include "bench/common/table.h"
 #include "bench/common/workloads.h"
-#include "common/histogram.h"
 #include "common/strings.h"
 #include "sched/scheduler.h"
 
@@ -83,17 +84,25 @@ RunResult run_workload(SharingPolicy policy,
   out.makespan_s = sched.last_completion().seconds();
   out.mean_wait_s = sched.mean_wait_ns() / static_cast<double>(kSecond);
   // Tail behaviour matters more than the mean for interactive users.
-  common::Histogram waits;
+  std::vector<double> waits;
   for (const auto& rec :
        sched.accounting(simos::root_credentials())) {
     if (rec.start_time.ns > 0 || rec.final_state ==
                                      sched::JobState::completed) {
-      waits.add(static_cast<double>(rec.start_time.ns -
-                                    rec.submit_time.ns) /
-                static_cast<double>(kSecond));
+      waits.push_back(
+          static_cast<double>(rec.start_time.ns - rec.submit_time.ns) /
+          static_cast<double>(kSecond));
     }
   }
-  out.p95_wait_s = waits.empty() ? 0.0 : waits.quantile(0.95);
+  if (!waits.empty()) {
+    // p95, interpolating linearly between adjacent order statistics.
+    std::sort(waits.begin(), waits.end());
+    const double pos = 0.95 * static_cast<double>(waits.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, waits.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    out.p95_wait_s = waits[lo] * (1.0 - frac) + waits[hi] * frac;
+  }
   out.coresidency = sched.cross_user_coresidency_events();
   out.completed = sched.completed_count();
   return out;

@@ -110,7 +110,7 @@ std::size_t PathAnalyzer::escalation_count(
 std::vector<std::string> PathAnalyzer::minimal_cut(
     std::span<const ClusterSpec> clusters,
     const std::vector<AttackPath>& escalation,
-    const ChannelGraph& graph) const {
+    const ChannelGraph& /*graph*/) const {
   if (escalation.empty()) return {};
 
   // Candidates: the whole registry, not just the per-edge responsible

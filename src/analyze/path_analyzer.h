@@ -95,7 +95,9 @@ class PathAnalyzer {
 
   /// Smallest registry-knob set whose hardening (applied to every
   /// member) severs all of `escalation`. Exhaustive for cuts of size
-  /// <= 3, greedy set-cover with redundancy pruning above that.
+  /// <= 3, greedy set-cover with redundancy pruning above that. Each
+  /// candidate cut is re-checked on a graph rebuilt from `clusters`;
+  /// `graph` is not read.
   [[nodiscard]] std::vector<std::string> minimal_cut(
       std::span<const ClusterSpec> clusters,
       const std::vector<AttackPath>& escalation,

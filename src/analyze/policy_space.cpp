@@ -1,9 +1,8 @@
 #include "analyze/policy_space.h"
 
 #include <cassert>
-#include <string_view>
+#include <string>
 
-#include "common/strings.h"
 #include "obs/taxonomy.h"
 
 namespace heus::analyze {
@@ -16,70 +15,90 @@ namespace {
 // Shorthand for the registry table below.
 using P = SeparationPolicy;
 
+constexpr const char* kBool[] = {"0", "1"};
+constexpr const char* kHidepid[] = {"off", "restrict", "invisible"};
+constexpr const char* kHidepidDigits[] = {"0", "1", "2"};
+constexpr const char* kSharing[] = {"shared", "exclusive", "user-whole-node"};
+
 const std::vector<KnobSpec>& registry() {
   static const std::vector<KnobSpec> specs = {
       // §IV-A processes
       {knob::hidepid, "mount /proc with hidepid=2 (foreign pids invisible)",
-       [](const P& p) { return p.hidepid == simos::HidepidMode::invisible; },
-       [](P& p, bool h) {
-         p.hidepid =
-             h ? simos::HidepidMode::invisible : simos::HidepidMode::off;
-       }},
-      {knob::hidepid_gid_exemption,
-       "gid= mount flag: seepid staff group exempt from hidepid",
-       [](const P& p) { return p.hidepid_gid_exemption; },
-       [](P& p, bool h) { p.hidepid_gid_exemption = h; }},
-      // §IV-B scheduler
-      {knob::private_data_jobs, "squeue shows only the caller's jobs",
-       [](const P& p) { return p.private_data.jobs; },
-       [](P& p, bool h) { p.private_data.jobs = h; }},
-      {knob::private_data_accounting, "sacct shows only the caller's records",
-       [](const P& p) { return p.private_data.accounting; },
-       [](P& p, bool h) { p.private_data.accounting = h; }},
-      {knob::private_data_usage, "sreport shows only the caller's usage",
-       [](const P& p) { return p.private_data.usage; },
-       [](P& p, bool h) { p.private_data.usage = h; }},
-      {knob::sharing, "user-based whole-node scheduling",
-       [](const P& p) {
-         return p.sharing == sched::SharingPolicy::user_whole_node;
+       kHidepid, 2,
+       [](const P& p) { return static_cast<std::size_t>(p.hidepid); },
+       [](P& p, std::size_t v) {
+         p.hidepid = static_cast<simos::HidepidMode>(v);
        },
-       [](P& p, bool h) {
-         p.sharing = h ? sched::SharingPolicy::user_whole_node
-                       : sched::SharingPolicy::shared;
+       kHidepidDigits},
+      {knob::hidepid_gid_exemption,
+       "gid= mount flag: seepid staff group exempt from hidepid", kBool, 1,
+       [](const P& p) { return std::size_t{p.hidepid_gid_exemption}; },
+       [](P& p, std::size_t v) { p.hidepid_gid_exemption = v != 0; }},
+      // §IV-B scheduler
+      {knob::private_data_jobs, "squeue shows only the caller's jobs", kBool,
+       1, [](const P& p) { return std::size_t{p.private_data.jobs}; },
+       [](P& p, std::size_t v) { p.private_data.jobs = v != 0; }},
+      {knob::private_data_accounting, "sacct shows only the caller's records",
+       kBool, 1,
+       [](const P& p) { return std::size_t{p.private_data.accounting}; },
+       [](P& p, std::size_t v) { p.private_data.accounting = v != 0; }},
+      {knob::private_data_usage, "sreport shows only the caller's usage",
+       kBool, 1, [](const P& p) { return std::size_t{p.private_data.usage}; },
+       [](P& p, std::size_t v) { p.private_data.usage = v != 0; }},
+      {knob::sharing, "user-based whole-node scheduling", kSharing, 2,
+       [](const P& p) { return static_cast<std::size_t>(p.sharing); },
+       [](P& p, std::size_t v) {
+         p.sharing = static_cast<sched::SharingPolicy>(v);
        }},
       {knob::pam_slurm, "ssh only to nodes where the user has a running job",
-       [](const P& p) { return p.pam_slurm; },
-       [](P& p, bool h) { p.pam_slurm = h; }},
+       kBool, 1, [](const P& p) { return std::size_t{p.pam_slurm}; },
+       [](P& p, std::size_t v) { p.pam_slurm = v != 0; }},
       // §IV-C filesystems
-      {knob::fs_enforce_smask, "kernel smask patch installed",
-       [](const P& p) { return p.fs.enforce_smask; },
-       [](P& p, bool h) { p.fs.enforce_smask = h; }},
+      {knob::fs_enforce_smask, "kernel smask patch installed", kBool, 1,
+       [](const P& p) { return std::size_t{p.fs.enforce_smask}; },
+       [](P& p, std::size_t v) { p.fs.enforce_smask = v != 0; }},
       {knob::fs_honor_smask, "Lustre LU-4746 patch: filesystem honors smask",
-       [](const P& p) { return p.fs.honor_smask; },
-       [](P& p, bool h) { p.fs.honor_smask = h; }},
+       kBool, 1, [](const P& p) { return std::size_t{p.fs.honor_smask}; },
+       [](P& p, std::size_t v) { p.fs.honor_smask = v != 0; }},
       {knob::fs_restrict_acl,
-       "setfacl restricted to member groups, no named-user grants",
-       [](const P& p) { return p.fs.restrict_acl; },
-       [](P& p, bool h) { p.fs.restrict_acl = h; }},
+       "setfacl restricted to member groups, no named-user grants", kBool, 1,
+       [](const P& p) { return std::size_t{p.fs.restrict_acl}; },
+       [](P& p, std::size_t v) { p.fs.restrict_acl = v != 0; }},
       {knob::root_owned_homes, "homes root-owned, group = UPG, mode 0770",
-       [](const P& p) { return p.root_owned_homes; },
-       [](P& p, bool h) { p.root_owned_homes = h; }},
+       kBool, 1, [](const P& p) { return std::size_t{p.root_owned_homes}; },
+       [](P& p, std::size_t v) { p.root_owned_homes = v != 0; }},
       // §IV-D network
-      {knob::ubf, "user-based firewall attached to the nfqueue hook",
-       [](const P& p) { return p.ubf; },
-       [](P& p, bool h) { p.ubf = h; }},
+      {knob::ubf, "user-based firewall attached to the nfqueue hook", kBool,
+       1, [](const P& p) { return std::size_t{p.ubf}; },
+       [](P& p, std::size_t v) { p.ubf = v != 0; }},
       {knob::ubf_group_peers, "UBF rule (b): egid project-group peers allowed",
-       [](const P& p) { return p.ubf_group_peers; },
-       [](P& p, bool h) { p.ubf_group_peers = h; }},
+       kBool, 1, [](const P& p) { return std::size_t{p.ubf_group_peers}; },
+       [](P& p, std::size_t v) { p.ubf_group_peers = v != 0; }},
       // §IV-F accelerators
       {knob::gpu_dev_binding, "/dev/nvidiaN chgrp'ed to the user's UPG on alloc",
-       [](const P& p) { return p.gpu_dev_binding; },
-       [](P& p, bool h) { p.gpu_dev_binding = h; }},
-      {knob::gpu_epilog_scrub, "vendor memory scrub in the job epilog",
-       [](const P& p) { return p.gpu_epilog_scrub; },
-       [](P& p, bool h) { p.gpu_epilog_scrub = h; }},
+       kBool, 1, [](const P& p) { return std::size_t{p.gpu_dev_binding}; },
+       [](P& p, std::size_t v) { p.gpu_dev_binding = v != 0; }},
+      {knob::gpu_epilog_scrub, "vendor memory scrub in the job epilog", kBool,
+       1, [](const P& p) { return std::size_t{p.gpu_epilog_scrub}; },
+       [](P& p, std::size_t v) { p.gpu_epilog_scrub = v != 0; }},
   };
   return specs;
+}
+
+/// The lattice's mixed-radix digits, least significant first: the
+/// multi-valued knobs, then the booleans, each in registry order. Built
+/// once; policy_at() decodes through it on every call.
+const std::vector<const KnobSpec*>& decode_order() {
+  static const std::vector<const KnobSpec*> order = [] {
+    std::vector<const KnobSpec*> out;
+    for (const bool multi : {true, false}) {
+      for (const KnobSpec& k : registry()) {
+        if ((k.radix() > 2) == multi) out.push_back(&k);
+      }
+    }
+    return out;
+  }();
+  return order;
 }
 
 }  // namespace
@@ -110,31 +129,17 @@ std::vector<NamedPolicy> single_knob_ablations(
 
 SeparationPolicy random_policy(common::Rng& rng) {
   SeparationPolicy p;
-  p.hidepid = static_cast<simos::HidepidMode>(rng.bounded(3));
-  p.hidepid_gid_exemption = rng.chance(0.5);
-  p.private_data.jobs = rng.chance(0.5);
-  p.private_data.accounting = rng.chance(0.5);
-  p.private_data.usage = rng.chance(0.5);
-  switch (rng.bounded(3)) {
-    case 0: p.sharing = sched::SharingPolicy::shared; break;
-    case 1: p.sharing = sched::SharingPolicy::exclusive_job; break;
-    default: p.sharing = sched::SharingPolicy::user_whole_node; break;
+  for (const KnobSpec& k : registry()) {
+    k.put(p, k.radix() == 2 ? std::size_t{rng.chance(0.5)}
+                            : static_cast<std::size_t>(rng.bounded(k.radix())));
   }
-  p.pam_slurm = rng.chance(0.5);
-  p.fs.enforce_smask = rng.chance(0.5);
-  p.fs.honor_smask = rng.chance(0.5);
-  p.fs.restrict_acl = rng.chance(0.5);
-  p.root_owned_homes = rng.chance(0.5);
-  p.ubf = rng.chance(0.5);
-  p.ubf_group_peers = rng.chance(0.5);
-  p.gpu_dev_binding = rng.chance(0.5);
-  p.gpu_epilog_scrub = rng.chance(0.5);
   return p;
 }
 
 std::vector<NamedPolicy> differential_sweep(std::size_t random_count,
                                             std::uint64_t seed) {
   std::vector<NamedPolicy> out;
+  out.reserve(2 + 2 * registry().size() + random_count);
   out.push_back({"baseline", SeparationPolicy::baseline()});
   out.push_back({"hardened", SeparationPolicy::hardened()});
   for (auto& np :
@@ -147,25 +152,13 @@ std::vector<NamedPolicy> differential_sweep(std::size_t random_count,
   }
   common::Rng rng(seed);
   for (std::size_t i = 0; i < random_count; ++i) {
-    out.push_back(
-        {common::strformat("random-%zu", i), random_policy(rng)});
+    out.push_back({"random-" + std::to_string(i), random_policy(rng)});
   }
   return out;
 }
 
 std::string knob_value(const SeparationPolicy& p, const KnobSpec& knob) {
-  if (std::string_view(knob.name) == knob::hidepid) {
-    switch (p.hidepid) {
-      case simos::HidepidMode::off: return "off";
-      case simos::HidepidMode::restrict_contents: return "restrict";
-      case simos::HidepidMode::invisible: return "invisible";
-    }
-    return "?";
-  }
-  if (std::string_view(knob.name) == knob::sharing) {
-    return sched::to_string(p.sharing);
-  }
-  return knob.is_hardened(p) ? "1" : "0";
+  return knob.tokens[knob.get(p)];
 }
 
 std::vector<std::pair<std::string, std::string>> knob_assignments(
@@ -179,26 +172,25 @@ std::vector<std::pair<std::string, std::string>> knob_assignments(
 }
 
 std::size_t policy_space_size() {
-  // Two 3-valued enum knobs; every other registry knob is boolean.
-  return 3 * 3 * (std::size_t{1} << (registry().size() - 2));
+  static const std::size_t size = [] {
+    std::size_t n = 1;
+    for (const KnobSpec& k : registry()) n *= k.radix();
+    return n;
+  }();
+  return size;
 }
 
 SeparationPolicy policy_at(std::size_t index) {
   assert(index < policy_space_size());
   SeparationPolicy p;
-  p.hidepid = static_cast<simos::HidepidMode>(index % 3);
-  index /= 3;
-  switch (index % 3) {
-    case 0: p.sharing = sched::SharingPolicy::shared; break;
-    case 1: p.sharing = sched::SharingPolicy::exclusive_job; break;
-    default: p.sharing = sched::SharingPolicy::user_whole_node; break;
-  }
-  index /= 3;
-  for (const KnobSpec& k : registry()) {
-    const std::string_view name = k.name;
-    if (name == knob::hidepid || name == knob::sharing) continue;
-    k.set(p, (index & 1) != 0);
-    index >>= 1;
+  for (const KnobSpec* k : decode_order()) {
+    if (k->radix() == 2) {  // most digits; a shift is far cheaper than div
+      k->put(p, index & 1);
+      index >>= 1;
+    } else {
+      k->put(p, index % k->radix());
+      index /= k->radix();
+    }
   }
   return p;
 }
@@ -207,72 +199,31 @@ bool set_knob_from_string(SeparationPolicy& p, const std::string& name,
                           const std::string& value) {
   const KnobSpec* knob = find_knob(name);
   if (knob == nullptr) return false;
-  if (name == knob::hidepid) {
-    if (value == "off" || value == "0") {
-      p.hidepid = simos::HidepidMode::off;
-    } else if (value == "restrict" || value == "1") {
-      p.hidepid = simos::HidepidMode::restrict_contents;
-    } else if (value == "invisible" || value == "2") {
-      p.hidepid = simos::HidepidMode::invisible;
-    } else {
-      return false;
+  for (std::size_t v = 0; v < knob->radix(); ++v) {
+    if (value == knob->tokens[v] || value == knob->label(v)) {
+      knob->put(p, v);
+      return true;
     }
-    return true;
   }
-  if (name == knob::sharing) {
-    if (value == "shared") {
-      p.sharing = sched::SharingPolicy::shared;
-    } else if (value == "exclusive") {
-      p.sharing = sched::SharingPolicy::exclusive_job;
-    } else if (value == "user-whole-node") {
-      p.sharing = sched::SharingPolicy::user_whole_node;
-    } else {
-      return false;
+  if (knob->radix() == 2) {
+    const bool yes = value == "true" || value == "on";
+    if (yes || value == "false" || value == "off") {
+      knob->put(p, yes ? 1 : 0);
+      return true;
     }
-    return true;
-  }
-  if (value == "1" || value == "true" || value == "on") {
-    knob->set(p, true);
-    return true;
-  }
-  if (value == "0" || value == "false" || value == "off") {
-    knob->set(p, false);
-    return true;
   }
   return false;
 }
 
 std::string describe_policy(const SeparationPolicy& p) {
-  std::vector<std::string> parts;
-  parts.push_back(common::strformat(
-      "hidepid=%d", static_cast<int>(p.hidepid)));
-  parts.push_back(common::strformat("hidepid_gid_exemption=%d",
-                                    p.hidepid_gid_exemption ? 1 : 0));
-  parts.push_back(common::strformat("private_data.jobs=%d",
-                                    p.private_data.jobs ? 1 : 0));
-  parts.push_back(common::strformat("private_data.accounting=%d",
-                                    p.private_data.accounting ? 1 : 0));
-  parts.push_back(common::strformat("private_data.usage=%d",
-                                    p.private_data.usage ? 1 : 0));
-  parts.push_back(
-      common::strformat("sharing=%s", sched::to_string(p.sharing)));
-  parts.push_back(common::strformat("pam_slurm=%d", p.pam_slurm ? 1 : 0));
-  parts.push_back(common::strformat("fs.enforce_smask=%d",
-                                    p.fs.enforce_smask ? 1 : 0));
-  parts.push_back(common::strformat("fs.honor_smask=%d",
-                                    p.fs.honor_smask ? 1 : 0));
-  parts.push_back(common::strformat("fs.restrict_acl=%d",
-                                    p.fs.restrict_acl ? 1 : 0));
-  parts.push_back(common::strformat("root_owned_homes=%d",
-                                    p.root_owned_homes ? 1 : 0));
-  parts.push_back(common::strformat("ubf=%d", p.ubf ? 1 : 0));
-  parts.push_back(common::strformat("ubf_group_peers=%d",
-                                    p.ubf_group_peers ? 1 : 0));
-  parts.push_back(common::strformat("gpu_dev_binding=%d",
-                                    p.gpu_dev_binding ? 1 : 0));
-  parts.push_back(common::strformat("gpu_epilog_scrub=%d",
-                                    p.gpu_epilog_scrub ? 1 : 0));
-  return common::join(parts, " ");
+  std::string out;
+  for (const KnobSpec& k : registry()) {
+    if (!out.empty()) out += ' ';
+    out += k.name;
+    out += '=';
+    out += k.label(k.get(p));
+  }
+  return out;
 }
 
 }  // namespace heus::analyze

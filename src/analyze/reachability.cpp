@@ -1,7 +1,6 @@
 #include "analyze/reachability.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
 
 #include "analyze/json_util.h"
@@ -84,10 +83,10 @@ struct MachineScan {
   std::uint64_t triples = 0;
   std::set<std::uint64_t> signatures;
 
-  // Guard/knob agreement: per policy guard, outcome seen per knob token
-  // (-1 unset), plus the set of outcomes seen overall.
-  std::vector<std::map<std::string, int>> outcome_by_token;
-  std::vector<std::set<bool>> outcomes_seen;
+  // Guard/knob agreement: per policy guard, its declared knob and the
+  // outcome seen per value index of that knob (-1 unset).
+  std::vector<const KnobSpec*> guard_knob;
+  std::vector<std::vector<int>> outcome_by_value;
   std::vector<bool> mismatch_reported;
 
   // separation_opening dedup: (row index << 8) | channel.
@@ -97,6 +96,8 @@ struct MachineScan {
 void structural_pass(MachineScan& scan, std::vector<ReachFinding>& findings) {
   const MachineDef& def = *scan.def;
   scan.guard_bad.assign(def.guards.size(), false);
+  scan.guard_knob.assign(def.guards.size(), nullptr);
+  scan.outcome_by_value.resize(def.guards.size());
   for (std::size_t g = 0; g < def.guards.size(); ++g) {
     const Guard& guard = def.guards[g];
     if (guard.kind == GuardKind::policy) {
@@ -116,6 +117,8 @@ void structural_pass(MachineScan& scan, std::vector<ReachFinding>& findings) {
              guard.knob, "", -1, -1});
       } else {
         scan.policy_guards.push_back(g);
+        scan.guard_knob[g] = find_knob(guard.knob);
+        scan.outcome_by_value[g].assign(scan.guard_knob[g]->radix(), -1);
       }
     } else {
       if (guard.eval != nullptr || guard.knob != nullptr) {
@@ -190,8 +193,6 @@ void structural_pass(MachineScan& scan, std::vector<ReachFinding>& findings) {
 
   scan.fired.assign(def.transitions.size(), false);
   scan.reached.assign(def.states.size(), false);
-  scan.outcome_by_token.resize(def.guards.size());
-  scan.outcomes_seen.resize(def.guards.size());
   scan.mismatch_reported.assign(def.guards.size(), false);
 }
 
@@ -208,20 +209,20 @@ void sweep_policy(MachineScan& scan, const core::SeparationPolicy& policy,
     const bool outcome = guard.eval(view);
     pinned[g] = outcome;
     if (scan.mismatch_reported[g]) continue;
-    const KnobSpec* spec = find_knob(guard.knob);
-    const std::string token = knob_value(policy, *spec);
-    auto [it, inserted] =
-        scan.outcome_by_token[g].try_emplace(token, outcome ? 1 : 0);
-    if (!inserted && it->second != (outcome ? 1 : 0)) {
+    const KnobSpec& spec = *scan.guard_knob[g];
+    const std::size_t value = spec.get(policy);
+    int& seen = scan.outcome_by_value[g][value];
+    if (seen < 0) {
+      seen = outcome ? 1 : 0;
+    } else if (seen != (outcome ? 1 : 0)) {
       scan.mismatch_reported[g] = true;
       findings.push_back(
           {ReachFindingKind::guard_knob_mismatch, def.name,
            strformat("policy guard `%s` changes outcome while `%s=%s` is "
                      "fixed — it depends on some other knob",
-                     guard.name, guard.knob, token.c_str()),
+                     guard.name, guard.knob, spec.tokens[value]),
            guard.knob, describe_policy(policy), -1, -1});
     }
-    scan.outcomes_seen[g].insert(outcome);
   }
 
   // Exhaustive walk: BFS over states; per state × event, try every
@@ -303,7 +304,11 @@ void finish_machine(MachineScan& scan, std::vector<ReachFinding>& findings) {
   const MachineDef& def = *scan.def;
   for (const std::size_t g : scan.policy_guards) {
     if (scan.mismatch_reported[g]) continue;
-    if (scan.outcomes_seen[g].size() < 2) {
+    // No mismatch: each value index holds the guard's only outcome there,
+    // so the guard varies iff both outcomes were recorded.
+    const std::vector<int>& seen = scan.outcome_by_value[g];
+    if (std::count(seen.begin(), seen.end(), 0) == 0 ||
+        std::count(seen.begin(), seen.end(), 1) == 0) {
       findings.push_back(
           {ReachFindingKind::guard_knob_mismatch, def.name,
            strformat("policy guard `%s` never varies with its declared "

@@ -118,6 +118,7 @@ ProbeOutcome probe_fs_home(const ProbeParties& p) {
   // The accidental-misconfiguration scenario: the victim tries to open
   // everything up (mis-typed chmod). Under smask + root-owned homes both
   // steps are neutralised.
+  const auto home_before = fs.stat(p.victim.cred, home);
   (void)fs.chmod(p.victim.cred, home, 0777);
   (void)fs.chmod(p.victim.cred, file, 0666);
   ProbeOutcome out;
@@ -126,6 +127,12 @@ ProbeOutcome probe_fs_home(const ProbeParties& p) {
     out = {true, "world-chmod'ed home file readable by observer"};
   }
   (void)fs.unlink(p.victim.cred, file);
+  // Teardown: if the chmod above changed the home's mode, put it back as
+  // root, which smask does not clamp and the decision trace does not log.
+  const auto home_after = fs.stat(p.victim.cred, home);
+  if (home_before && home_after && home_after->mode != home_before->mode) {
+    (void)fs.chmod(simos::root_credentials(), home, home_before->mode);
+  }
   return out;
 }
 

@@ -4,31 +4,9 @@
 #include <cassert>
 #include <cstring>
 
+#include "common/fnv.h"
+
 namespace heus::core {
-
-namespace {
-
-class Fnv {
- public:
-  void fold(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xff;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  void fold_bytes(const char* s, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= static_cast<unsigned char>(s[i]);
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
-}  // namespace
 
 ShardMap ShardMap::blocks(std::size_t hosts, std::uint32_t groups) {
   ShardMap m;
@@ -125,7 +103,7 @@ void ShardedEngine::tick() {
 }
 
 std::uint64_t network_digest(const net::Network& nw) {
-  Fnv d;
+  common::Fnv d;
   const net::NetworkStats s = nw.stats();
   d.fold(s.connections_attempted);
   d.fold(s.connections_established);
@@ -155,7 +133,7 @@ std::uint64_t decision_digest(const obs::DecisionTrace& trace) {
   // engine advances the clock only at barriers, where it is exact.
   std::uint64_t multiset = 0;
   for (const obs::Decision& r : trace.snapshot()) {
-    Fnv one;
+    common::Fnv one;
     one.fold(static_cast<std::uint64_t>(r.time.ns));
     one.fold(static_cast<std::uint64_t>(r.point));
     one.fold(static_cast<std::uint64_t>(r.outcome));
@@ -168,7 +146,7 @@ std::uint64_t decision_digest(const obs::DecisionTrace& trace) {
     one.fold_bytes(r.object.data(), r.object.size());
     multiset += one.value();
   }
-  Fnv d;
+  common::Fnv d;
   d.fold(multiset);
   d.fold(trace.total());
   for (const obs::DecisionPoint p : obs::kAllDecisionPoints) {

@@ -6,6 +6,7 @@
 #include "analyze/analyzer.h"
 #include "analyze/policy_space.h"
 #include "analyze/report.h"
+#include "common/strings.h"
 
 namespace heus::analyze {
 namespace {
@@ -168,8 +169,78 @@ TEST(PolicySpace, SetKnobFromString) {
   EXPECT_TRUE(set_knob_from_string(p, "sharing", "user-whole-node"));
   EXPECT_EQ(p.sharing, sched::SharingPolicy::user_whole_node);
   EXPECT_FALSE(set_knob_from_string(p, "sharing", "sometimes"));
+  EXPECT_FALSE(set_knob_from_string(p, "sharing", "1"));
+  EXPECT_FALSE(set_knob_from_string(p, "hidepid", "on"));
+  EXPECT_FALSE(set_knob_from_string(p, "pam_slurm", "yes"));
   EXPECT_FALSE(set_knob_from_string(p, "no-such-knob", "1"));
   EXPECT_FALSE(set_knob_from_string(p, "ubf", "maybe"));
+}
+
+TEST(PolicySpace, EveryKnobValueRoundTripsThroughItsSpellings) {
+  for (const KnobSpec& k : knobs()) {
+    ASSERT_GE(k.radix(), 2u) << k.name;
+    ASSERT_LT(k.hardened_index, k.radix()) << k.name;
+    for (std::size_t v = 0; v < k.radix(); ++v) {
+      SeparationPolicy p = SeparationPolicy::baseline();
+      k.put(p, v);
+      ASSERT_EQ(k.get(p), v) << k.name;
+      for (const std::string& spelling : {knob_value(p, k),
+                                         std::string(k.label(v))}) {
+        SeparationPolicy q = p;
+        k.put(q, (v + 1) % k.radix());
+        EXPECT_TRUE(set_knob_from_string(q, k.name, spelling))
+            << k.name << "=" << spelling;
+        EXPECT_EQ(q, p) << k.name << "=" << spelling;
+      }
+    }
+  }
+}
+
+TEST(PolicySpace, LatticeOrderAndRandomDrawsArePinned) {
+  // Sweep reports and seeded corpora name policies by lattice index and
+  // draw order; both must stay put when the table changes shape.
+  EXPECT_EQ(describe_policy(policy_at(12345)),
+            "hidepid=0 hidepid_gid_exemption=1 private_data.jobs=1 "
+            "private_data.accounting=0 private_data.usage=1 "
+            "sharing=user-whole-node pam_slurm=1 fs.enforce_smask=0 "
+            "fs.honor_smask=1 fs.restrict_acl=0 root_owned_homes=1 ubf=0 "
+            "ubf_group_peers=1 gpu_dev_binding=0 gpu_epilog_scrub=0");
+  EXPECT_EQ(policy_at(policy_space_size() - 1),
+            SeparationPolicy::hardened());
+  const auto sweep = differential_sweep(2, 7);
+  EXPECT_EQ(describe_policy(sweep[sweep.size() - 2].policy),
+            "hidepid=2 hidepid_gid_exemption=1 private_data.jobs=0 "
+            "private_data.accounting=0 private_data.usage=0 "
+            "sharing=user-whole-node pam_slurm=1 fs.enforce_smask=1 "
+            "fs.honor_smask=1 fs.restrict_acl=1 root_owned_homes=0 ubf=0 "
+            "ubf_group_peers=0 gpu_dev_binding=0 gpu_epilog_scrub=1");
+  EXPECT_EQ(describe_policy(sweep.back().policy),
+            "hidepid=1 hidepid_gid_exemption=1 private_data.jobs=1 "
+            "private_data.accounting=1 private_data.usage=1 sharing=shared "
+            "pam_slurm=0 fs.enforce_smask=0 fs.honor_smask=1 "
+            "fs.restrict_acl=0 root_owned_homes=1 ubf=1 ubf_group_peers=0 "
+            "gpu_dev_binding=1 gpu_epilog_scrub=1");
+}
+
+TEST(PolicySpace, DescribePolicyParsesBackAtEveryLatticePoint) {
+  for (std::size_t i = 0; i < policy_space_size(); ++i) {
+    const SeparationPolicy p = policy_at(i);
+    // Start from a policy that differs from `p` in every knob, so each
+    // knob must be restored by its own `name=label` pair.
+    SeparationPolicy q = p;
+    for (const KnobSpec& k : knobs()) k.put(q, (k.get(p) + 1) % k.radix());
+    const std::string text = describe_policy(p);
+    const std::vector<std::string> pairs = common::split(text, ' ');
+    ASSERT_EQ(pairs.size(), knobs().size()) << text;
+    for (const std::string& pair : pairs) {
+      const std::size_t eq = pair.find('=');
+      ASSERT_NE(eq, std::string::npos) << text;
+      ASSERT_TRUE(set_knob_from_string(q, pair.substr(0, eq),
+                                       pair.substr(eq + 1)))
+          << pair;
+    }
+    ASSERT_EQ(q, p) << "lattice point " << i << ": " << text;
+  }
 }
 
 TEST(PolicySpace, DifferentialSweepShape) {

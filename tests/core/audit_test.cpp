@@ -103,6 +103,31 @@ TEST_F(AuditTest, ProbesAreRepeatable) {
   }
 }
 
+TEST_F(AuditTest, ProbesLeaveTheVictimHomeModeUnchanged) {
+  // The fs-home probe chmods the victim's home to 0777; its teardown must
+  // put the mode back wherever that chmod succeeded: baseline, and
+  // smask-only, where the chmod lands clamped at 0770.
+  SeparationPolicy smask_only = SeparationPolicy::baseline();
+  smask_only.fs = vfs::FsPolicy::hardened();
+  for (const SeparationPolicy& policy :
+       {SeparationPolicy::baseline(), smask_only,
+        SeparationPolicy::hardened()}) {
+    cluster = std::make_unique<Cluster>(audit_config(policy));
+    victim = *cluster->add_user("victim");
+    observer = *cluster->add_user("observer");
+    const std::string home = cluster->users().find_user(victim)->home;
+    auto home_mode = [&] {
+      return cluster->shared_fs()
+          .stat(simos::root_credentials(), home)
+          ->mode;
+    };
+    const unsigned before = home_mode();
+    LeakageAuditor auditor(cluster.get());
+    (void)auditor.audit_pair(victim, observer);
+    EXPECT_EQ(home_mode(), before) << std::oct << "home mode " << before;
+  }
+}
+
 TEST_F(AuditTest, FailedLoginLeavesNoSessionBehind) {
   // An observer with no account: every probe's observer login fails,
   // and the victim's shell each probe did log in must be logged out.

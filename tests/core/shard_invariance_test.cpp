@@ -25,6 +25,7 @@
 
 #include "bench/common/workloads.h"
 #include "common/clock.h"
+#include "common/fnv.h"
 #include "common/strings.h"
 #include "core/engine.h"
 #include "net/network.h"
@@ -36,20 +37,6 @@
 namespace heus::core {
 namespace {
 
-class Digest {
- public:
-  void fold(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xff;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
 /// Canonical schedule digest — field-for-field the fold used by
 /// tests/sched/sched_digest_test.cpp, so mode A can compare against the
 /// goldens captured there.
@@ -58,7 +45,7 @@ std::uint64_t schedule_digest(const sched::Scheduler& sched) {
   std::sort(records.begin(), records.end(),
             [](const sched::AccountingRecord& x,
                const sched::AccountingRecord& y) { return x.id < y.id; });
-  Digest d;
+  common::Fnv d;
   d.fold(records.size());
   for (const auto& rec : records) {
     d.fold(rec.id.value());
@@ -379,7 +366,7 @@ RunResult run_mode_b(unsigned workers) {
   RunResult r;
   r.net = network_digest(nw);
   r.decisions = decision_digest(trace);
-  Digest u;
+  common::Fnv u;
   const net::UbfStats us = ubf.stats();
   u.fold(us.decisions);
   u.fold(us.allowed_same_user);

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/fnv.h"
 #include "net/network.h"
 #include "simos/credentials.h"
 #include "simos/user_db.h"
@@ -34,25 +35,11 @@ void require(bool ok) {
   if (!ok) std::abort();
 }
 
-// FNV-1a, same fold as tests/sched/sched_digest_test.cpp.
-class Digest {
- public:
-  void fold(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xff;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  void fold_errno(const Result<void>& r) {
-    fold(r.ok() ? 0 : static_cast<std::uint64_t>(r.error()));
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
+void fold_errno(common::Fnv& d, const Result<void>& r) {
+  d.fold(r.ok() ? 0 : static_cast<std::uint64_t>(r.error()));
+}
 
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
-void fold_stats(Digest& d, const NetworkStats& s) {
+void fold_stats(common::Fnv& d, const NetworkStats& s) {
   d.fold(s.connections_attempted);
   d.fold(s.connections_established);
   d.fold(s.connections_refused);
@@ -73,7 +60,7 @@ void fold_stats(Digest& d, const NetworkStats& s) {
 
 // Canonical flow-table fold over every flow id the scenario ever saw:
 // liveness, then each surviving field that outlives a call.
-void fold_flows(Digest& d, const Network& nw,
+void fold_flows(common::Fnv& d, const Network& nw,
                 const std::vector<FlowId>& ids) {
   std::size_t live = 0;
   for (const FlowId id : ids) {
@@ -112,7 +99,7 @@ std::uint64_t run_digest() {
   const HostId c0 = nw.add_host("c0");
   const HostId c1 = nw.add_host("c1");
 
-  Digest d;
+  common::Fnv d;
   std::vector<FlowId> ids;  // every flow id ever returned, in order
   auto connect = [&](HostId src, const simos::Credentials& cred, HostId dst,
                      Proto proto, std::uint16_t port) {
@@ -133,9 +120,9 @@ std::uint64_t run_digest() {
   auto f1 = connect(login, bob, c0, Proto::tcp, 5000);    // cross-user
   auto f2 = connect(login, alice, c0, Proto::tcp, 5000);  // same-user
   require(f1.ok() && f2.ok());
-  d.fold_errno(nw.send(*f1, FlowEnd::client, "GET /secrets"));
-  d.fold_errno(nw.send(*f1, FlowEnd::server, "200 OK, a lot of payload"));
-  d.fold_errno(nw.send(*f2, FlowEnd::client, "ping"));
+  fold_errno(d, nw.send(*f1, FlowEnd::client, "GET /secrets"));
+  fold_errno(d, nw.send(*f1, FlowEnd::server, "200 OK, a lot of payload"));
+  fold_errno(d, nw.send(*f2, FlowEnd::client, "ping"));
   const auto got = nw.recv(*f1, FlowEnd::server);
   d.fold(got.ok() ? got->size() : 999);
   d.fold(static_cast<std::uint64_t>(nw.last_send_cost_ns()));
@@ -152,8 +139,8 @@ std::uint64_t run_digest() {
   const auto f4 = connect(c0, alice, c1, Proto::udp, 9000);   // accept
   const auto f5 = connect(login, alice, c1, Proto::tcp, 22);  // below floor
   require(f4.ok() && f5.ok());
-  d.fold_errno(nw.send(*f4, FlowEnd::client, "udp datagram"));
-  d.fold_errno(nw.send(*f5, FlowEnd::client, "ssh-ish"));
+  fold_errno(d, nw.send(*f4, FlowEnd::client, "udp datagram"));
+  fold_errno(d, nw.send(*f5, FlowEnd::client, "ssh-ish"));
   d.fold(nw.connect(login, bob, Pid{1}, c0, Proto::tcp, 4444).ok()
              ? 1
              : 0);  // no listener: refused
@@ -167,12 +154,12 @@ std::uint64_t run_digest() {
   const auto e0 = nw.next_expiry_ns();
   d.fold(e0 ? static_cast<std::uint64_t>(*e0) : 0);
   clock.advance(60 * common::kMillisecond);
-  d.fold_errno(nw.send(*f6, FlowEnd::client, "keepalive"));  // refresh f6
+  fold_errno(d, nw.send(*f6, FlowEnd::client, "keepalive"));  // refresh f6
   clock.advance(60 * common::kMillisecond);
   d.fold(nw.gc());  // f7 idle-expires; f6 was refreshed (revived) mid-GC
   d.fold(nw.find_flow(*f6).has_value() ? 1 : 0);
   d.fold(nw.find_flow(*f7).has_value() ? 1 : 0);
-  d.fold_errno(nw.send(*f6, FlowEnd::client, "still here"));
+  fold_errno(d, nw.send(*f6, FlowEnd::client, "still here"));
   clock.advance(200 * common::kMillisecond);
   d.fold(nw.gc());  // now f6 is idle past its refreshed deadline
   const auto e1 = nw.next_expiry_ns();
@@ -184,14 +171,14 @@ std::uint64_t run_digest() {
   require(f8.ok());
   require(nw.close_listener(c1, Proto::tcp, 7000).ok());
   require(nw.listen(c1, alice, Pid{15}, Proto::tcp, 7000).ok());
-  d.fold_errno(nw.send(*f8, FlowEnd::client, "stale conntrack"));
+  fold_errno(d, nw.send(*f8, FlowEnd::client, "stale conntrack"));
   d.fold(nw.find_flow(*f8).has_value() ? 1 : 0);
 
   // -- Phase 5: send/close error paths. ---------------------------------
-  d.fold_errno(nw.send(*f8, FlowEnd::client, "after reset"));  // ebadf
-  d.fold_errno(nw.close(*f8));                                 // ebadf
-  d.fold_errno(nw.close(*f2));
-  d.fold_errno(nw.send(*f2, FlowEnd::client, "after close"));  // ebadf
+  fold_errno(d, nw.send(*f8, FlowEnd::client, "after reset"));  // ebadf
+  fold_errno(d, nw.close(*f8));                                 // ebadf
+  fold_errno(d, nw.close(*f2));
+  fold_errno(d, nw.send(*f2, FlowEnd::client, "after close"));  // ebadf
 
   // -- Phase 6: per-user and per-host teardown sweeps. ------------------
   require(nw.unix_listen_abstract(c1, bob, "mpi-rendezvous").ok());

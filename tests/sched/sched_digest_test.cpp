@@ -16,28 +16,13 @@
 #include <limits>
 
 #include "bench/common/workloads.h"
+#include "common/fnv.h"
 #include "common/strings.h"
 #include "sched/scheduler.h"
 #include "simos/user_db.h"
 
 namespace heus::sched {
 namespace {
-
-// FNV-1a over the canonical (id-sorted) schedule. Integer fields only:
-// every value hashed is deterministic simulated time or a count.
-class Digest {
- public:
-  void fold(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xff;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
 
 std::uint64_t run_digest(bench::WorkloadFactory make, SharingPolicy policy,
                          bool backfill, PriorityPolicy priority,
@@ -86,14 +71,16 @@ std::uint64_t run_digest(bench::WorkloadFactory make, SharingPolicy policy,
     sched.step();
   }
 
-  // Canonical order: accounting sorted by job id, so the digest is
-  // independent of completion-processing order for simultaneous events.
+  // FNV-1a over the canonical order: accounting sorted by job id, so the
+  // digest is independent of completion-processing order for simultaneous
+  // events. Integer fields only: every value hashed is deterministic
+  // simulated time or a count.
   auto records = sched.accounting(simos::root_credentials());
   std::sort(records.begin(), records.end(),
             [](const AccountingRecord& x, const AccountingRecord& y) {
               return x.id < y.id;
             });
-  Digest d;
+  common::Fnv d;
   d.fold(records.size());
   for (const auto& rec : records) {
     d.fold(rec.id.value());

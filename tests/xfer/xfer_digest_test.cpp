@@ -21,6 +21,7 @@
 
 #include "common/backoff.h"
 #include "common/clock.h"
+#include "common/fnv.h"
 #include "simos/credentials.h"
 #include "simos/user_db.h"
 #include "vfs/filesystem.h"
@@ -32,21 +33,6 @@ namespace {
 void require(bool ok) {
   if (!ok) std::abort();
 }
-
-// FNV-1a, same fold as tests/sched/sched_digest_test.cpp.
-class Digest {
- public:
-  void fold(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xff;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
 
 std::uint64_t run_digest() {
   common::SimClock clock;
@@ -73,7 +59,7 @@ std::uint64_t run_digest() {
   StagingService dtn(&fs, &store, &clock);
   dtn.set_retry(common::BackoffPolicy{});
 
-  Digest d;
+  common::Fnv d;
   std::vector<TransferId> ids;
   auto submit = [&](const simos::Credentials& cred, Direction dir,
                     const std::string& remote, const std::string& local) {
